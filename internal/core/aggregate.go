@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 
@@ -149,8 +150,69 @@ func validateAggInput(in *record.Schema, aggs []AggSpec) error {
 	return nil
 }
 
+// group is one aggregation group: a copy of its first input row's image,
+// which supplies the group-by fields on output, and its accumulators.
+type group struct {
+	row    []byte
+	states []aggState
+}
+
+// accumulate folds one input row into a group's aggregate states.
+func accumulate(in *record.Schema, aggs []AggSpec, states []aggState, data []byte) error {
+	for i, a := range aggs {
+		if a.Func == AggCount {
+			states[i].count++
+			continue
+		}
+		v, err := in.Get(data, a.Field)
+		if err != nil {
+			return err
+		}
+		states[i].add(v)
+	}
+	return nil
+}
+
+// aggEncoder encodes aggregate output records into reused scratch: the
+// group-by fields read from the group's row image, then each
+// aggregate's result.
+type aggEncoder struct {
+	in      *record.Schema
+	out     *record.Schema
+	groupBy record.Key
+	aggs    []AggSpec
+	vals    []record.Value
+	buf     []byte
+}
+
+// write materialises g's output record through w.
+func (e *aggEncoder) write(w *ResultWriter, g *group) (Rec, error) {
+	e.vals = e.vals[:0]
+	for _, f := range e.groupBy {
+		v, err := e.in.Get(g.row, f)
+		if err != nil {
+			return Rec{}, err
+		}
+		e.vals = append(e.vals, v)
+	}
+	for i, a := range e.aggs {
+		var t record.Type
+		if a.Func != AggCount {
+			t = e.in.Field(a.Field).Type
+		}
+		e.vals = append(e.vals, g.states[i].result(a.Func, t))
+	}
+	var err error
+	if e.buf, err = e.out.AppendEncode(e.buf[:0], e.vals); err != nil {
+		return Rec{}, err
+	}
+	return w.WriteBytes(e.buf)
+}
+
 // HashAggregate is hash-based grouping and aggregation; with no aggregate
-// specs it performs duplicate elimination on the group key.
+// specs it performs duplicate elimination on the group key. Groups are
+// keyed on the encoded bytes of the group-by fields (Schema.AppendKey),
+// so only a new group allocates.
 type HashAggregate struct {
 	env     *Env
 	input   Iterator
@@ -158,18 +220,15 @@ type HashAggregate struct {
 	aggs    []AggSpec
 	schema  *record.Schema
 
-	w      *ResultWriter
-	groups map[string]*group
-	order  []string
-	emit   int
+	w          *ResultWriter
+	enc        aggEncoder
+	groups     map[string]int // group key bytes -> index in order
+	order      []group        // groups in first-seen order
+	keyBuf     []byte         // scratch for one row's key bytes
+	emit       int
 	open       bool
 	openFailed bool // Open ran and failed: next Close is a no-op
-	batch  int
-}
-
-type group struct {
-	keyVals []record.Value
-	states  []aggState
+	batch      int
 }
 
 // NewHashAggregate constructs the operator.
@@ -181,7 +240,10 @@ func NewHashAggregate(env *Env, input Iterator, groupBy record.Key, aggs []AggSp
 	if err != nil {
 		return nil, err
 	}
-	return &HashAggregate{env: env, input: input, groupBy: groupBy, aggs: aggs, schema: schema}, nil
+	return &HashAggregate{
+		env: env, input: input, groupBy: groupBy, aggs: aggs, schema: schema,
+		enc: aggEncoder{in: input.Schema(), out: schema, groupBy: groupBy, aggs: aggs},
+	}, nil
 }
 
 // Schema implements Iterator.
@@ -203,13 +265,13 @@ func (h *HashAggregate) openImpl() error {
 		return err
 	}
 	h.w = w
-	h.groups = make(map[string]*group)
+	h.groups = make(map[string]int)
+	h.order = nil
 	if err := h.input.Open(); err != nil {
 		_ = h.w.Dispose()
 		h.w = nil
 		return err
 	}
-	in := h.input.Schema()
 	src := inputSource(h.input, h.batch)
 	for {
 		r, ok, err := src.next()
@@ -222,31 +284,15 @@ func (h *HashAggregate) openImpl() error {
 		if !ok {
 			break
 		}
-		kv := in.KeyValues(r.Data, h.groupBy)
-		key := record.KeyString(kv)
-		g, exists := h.groups[key]
-		if !exists {
-			g = &group{keyVals: kv, states: make([]aggState, len(h.aggs))}
-			h.groups[key] = g
-			h.order = append(h.order, key)
-		}
-		for i, a := range h.aggs {
-			if a.Func == AggCount {
-				g.states[i].count++
-				continue
-			}
-			v, err := in.Get(r.Data, a.Field)
-			if err != nil {
-				r.Unfix()
-				src.release()
-				_ = h.input.Close()
-				_ = h.w.Dispose()
-				h.w = nil
-				return err
-			}
-			g.states[i].add(v)
-		}
+		err = h.add(r.Data)
 		r.Unfix()
+		if err != nil {
+			src.release()
+			_ = h.input.Close()
+			_ = h.w.Dispose()
+			h.w = nil
+			return err
+		}
 	}
 	if err := h.input.Close(); err != nil {
 		_ = h.w.Dispose()
@@ -258,24 +304,36 @@ func (h *HashAggregate) openImpl() error {
 	return nil
 }
 
+// add folds one input row into its group, creating the group on first
+// sight of its key.
+func (h *HashAggregate) add(data []byte) error {
+	in := h.input.Schema()
+	key, err := in.AppendKey(h.keyBuf[:0], data, h.groupBy)
+	if err != nil {
+		return err
+	}
+	h.keyBuf = key
+	gi, ok := h.groups[string(key)]
+	if !ok {
+		gi = len(h.order)
+		h.groups[string(key)] = gi
+		h.order = append(h.order, group{
+			row:    append([]byte(nil), data...),
+			states: make([]aggState, len(h.aggs)),
+		})
+	}
+	return accumulate(in, h.aggs, h.order[gi].states, data)
+}
+
 // EnableBatch implements BatchConfigurable: Open consumes the input
 // through batch refills of the given size.
 func (h *HashAggregate) EnableBatch(size int) { h.batch = size }
 
 // emitGroup materialises the next group's output record.
 func (h *HashAggregate) emitGroup() (Rec, error) {
-	g := h.groups[h.order[h.emit]]
+	g := &h.order[h.emit]
 	h.emit++
-	vals := append([]record.Value(nil), g.keyVals...)
-	in := h.input.Schema()
-	for i, a := range h.aggs {
-		var t record.Type
-		if a.Func != AggCount {
-			t = in.Field(a.Field).Type
-		}
-		vals = append(vals, g.states[i].result(a.Func, t))
-	}
-	return h.w.Write(vals)
+	return h.enc.write(h.w, g)
 }
 
 // Next implements Iterator: emits one group per call, in first-seen order.
@@ -330,7 +388,9 @@ func (h *HashAggregate) Close() error {
 
 // SortAggregate is the sort-based aggregation algorithm: the input must
 // arrive sorted on the group-by fields; groups are emitted on key change,
-// so the operator uses constant memory.
+// so the operator uses constant memory. A key change is detected by
+// comparing the open group's key bytes with each row's, and the open
+// group's buffers are reused from one group to the next.
 type SortAggregate struct {
 	env     *Env
 	input   Iterator
@@ -338,13 +398,17 @@ type SortAggregate struct {
 	aggs    []AggSpec
 	schema  *record.Schema
 
-	w     *ResultWriter
-	cur   *group
-	done  bool
+	w          *ResultWriter
+	enc        aggEncoder
+	cur        group  // the open group
+	curKey     []byte // key bytes of the open group
+	rowKey     []byte // scratch for the current row's key bytes
+	inGroup    bool   // cur holds an open group
+	done       bool
 	open       bool
 	openFailed bool // Open ran and failed: next Close is a no-op
-	batch int
-	src   recSource
+	batch      int
+	src        recSource
 }
 
 // NewSortAggregate constructs the operator over a sorted input.
@@ -356,7 +420,11 @@ func NewSortAggregate(env *Env, input Iterator, groupBy record.Key, aggs []AggSp
 	if err != nil {
 		return nil, err
 	}
-	return &SortAggregate{env: env, input: input, groupBy: groupBy, aggs: aggs, schema: schema}, nil
+	return &SortAggregate{
+		env: env, input: input, groupBy: groupBy, aggs: aggs, schema: schema,
+		enc: aggEncoder{in: input.Schema(), out: schema, groupBy: groupBy, aggs: aggs},
+		cur: group{states: make([]aggState, len(aggs))},
+	}, nil
 }
 
 // Schema implements Iterator.
@@ -382,7 +450,7 @@ func (s *SortAggregate) openImpl() error {
 		return err
 	}
 	s.w = w
-	s.cur = nil
+	s.inGroup = false
 	s.done = false
 	s.src = inputSource(s.input, s.batch)
 	s.open = true
@@ -443,62 +511,52 @@ func (s *SortAggregate) nextGroup() (Rec, bool, error) {
 		}
 		if !ok {
 			s.done = true
-			if s.cur == nil {
+			if !s.inGroup {
 				return Rec{}, false, nil
 			}
-			out, err := s.emit(s.cur)
-			s.cur = nil
+			s.inGroup = false
+			out, err := s.enc.write(s.w, &s.cur)
 			return out, true, err
 		}
-		kv := in.KeyValues(r.Data, s.groupBy)
-		if s.cur != nil && record.KeyString(kv) != record.KeyString(s.cur.keyVals) {
-			// Key change: emit the finished group, start a new one.
-			finished := s.cur
-			s.cur = &group{keyVals: kv, states: make([]aggState, len(s.aggs))}
-			if err := s.accumulate(s.cur, r); err != nil {
-				return Rec{}, false, err
-			}
-			out, err := s.emit(finished)
-			return out, true, err
-		}
-		if s.cur == nil {
-			s.cur = &group{keyVals: kv, states: make([]aggState, len(s.aggs))}
-		}
-		if err := s.accumulate(s.cur, r); err != nil {
-			return Rec{}, false, err
-		}
-	}
-}
-
-func (s *SortAggregate) accumulate(g *group, r Rec) error {
-	in := s.input.Schema()
-	for i, a := range s.aggs {
-		if a.Func == AggCount {
-			g.states[i].count++
-			continue
-		}
-		v, err := in.Get(r.Data, a.Field)
+		key, err := in.AppendKey(s.rowKey[:0], r.Data, s.groupBy)
 		if err != nil {
 			r.Unfix()
-			return err
+			return Rec{}, false, err
 		}
-		g.states[i].add(v)
+		s.rowKey = key
+		var finished Rec
+		changed := s.inGroup && !bytes.Equal(key, s.curKey)
+		if changed {
+			// Key change: emit the finished group before its buffers
+			// are reused for the group this row opens.
+			if finished, err = s.enc.write(s.w, &s.cur); err != nil {
+				r.Unfix()
+				return Rec{}, false, err
+			}
+		}
+		if changed || !s.inGroup {
+			s.startGroup(r.Data)
+		}
+		err = accumulate(in, s.aggs, s.cur.states, r.Data)
+		r.Unfix()
+		if err != nil {
+			if changed {
+				finished.Unfix()
+			}
+			return Rec{}, false, err
+		}
+		if changed {
+			return finished, true, nil
+		}
 	}
-	r.Unfix()
-	return nil
 }
 
-func (s *SortAggregate) emit(g *group) (Rec, error) {
-	vals := append([]record.Value(nil), g.keyVals...)
-	in := s.input.Schema()
-	for i, a := range s.aggs {
-		var t record.Type
-		if a.Func != AggCount {
-			t = in.Field(a.Field).Type
-		}
-		vals = append(vals, g.states[i].result(a.Func, t))
-	}
-	return s.w.Write(vals)
+// startGroup opens a group at the row whose key bytes are in s.rowKey.
+func (s *SortAggregate) startGroup(data []byte) {
+	s.cur.row = append(s.cur.row[:0], data...)
+	clear(s.cur.states)
+	s.curKey, s.rowKey = s.rowKey, s.curKey
+	s.inGroup = true
 }
 
 // Close implements Iterator.

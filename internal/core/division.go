@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/record"
@@ -31,11 +32,13 @@ type HashDivision struct {
 	// counts and compares with the full divisor cardinality.
 	partial bool
 
-	w     *ResultWriter
-	order []string
-	table map[string]*quotient
-	ndiv  int
-	emit  int
+	w          *ResultWriter
+	divisors   map[string]int       // divisor key bytes -> divisor number
+	order      []*quotient          // first-seen order
+	table      map[string]*quotient // quotient key bytes -> candidate
+	key        []byte               // scratch for one row's key bytes
+	ndiv       int
+	emit       int
 	open       bool
 	openFailed bool // Open ran and failed: next Close is a no-op
 }
@@ -117,8 +120,9 @@ func (d *HashDivision) openImpl() error {
 	}
 	d.w = w
 
-	// Phase 1: number the divisor tuples.
-	divisorIdx := make(map[string]int)
+	// Phase 1: number the divisor tuples. Both tables key on encoded key
+	// bytes; only a new key allocates its string.
+	d.divisors = make(map[string]int)
 	if err := d.divisor.Open(); err != nil {
 		d.abort()
 		return err
@@ -134,17 +138,22 @@ func (d *HashDivision) openImpl() error {
 		if !ok {
 			break
 		}
-		key := record.KeyString(ds.KeyValues(r.Data, d.divisorKey))
-		if _, dup := divisorIdx[key]; !dup {
-			divisorIdx[key] = len(divisorIdx)
-		}
+		d.key, err = ds.AppendKey(d.key[:0], r.Data, d.divisorKey)
 		r.Unfix()
+		if err != nil {
+			_ = d.divisor.Close()
+			d.abort()
+			return err
+		}
+		if _, dup := d.divisors[string(d.key)]; !dup {
+			d.divisors[string(d.key)] = len(d.divisors)
+		}
 	}
 	if err := d.divisor.Close(); err != nil {
 		d.abort()
 		return err
 	}
-	d.ndiv = len(divisorIdx)
+	d.ndiv = len(d.divisors)
 
 	// Phase 2: scan the dividend, marking (quotient, divisor) pairs.
 	d.table = make(map[string]*quotient)
@@ -163,30 +172,45 @@ func (d *HashDivision) openImpl() error {
 		if !ok {
 			break
 		}
-		divK := record.KeyString(in.KeyValues(r.Data, d.divKey))
-		idx, inDivisor := divisorIdx[divK]
-		if !inDivisor {
-			// Dividend rows with divisor values outside S are irrelevant.
-			r.Unfix()
-			continue
-		}
-		kv := in.KeyValues(r.Data, d.quotKey)
-		qk := record.KeyString(kv)
-		q, exists := d.table[qk]
-		if !exists {
-			q = &quotient{kv: kv, seen: make(map[int]struct{})}
-			d.table[qk] = q
-			d.order = append(d.order, qk)
-		}
-		q.seen[idx] = struct{}{}
+		err = d.mark(in, r.Data)
 		r.Unfix()
+		if err != nil {
+			_ = d.dividend.Close()
+			d.abort()
+			return err
+		}
 	}
 	if err := d.dividend.Close(); err != nil {
 		d.abort()
 		return err
 	}
+	d.divisors = nil
 	d.emit = 0
 	d.open = true
+	return nil
+}
+
+// mark records one dividend row: its quotient candidate has seen the
+// row's divisor tuple. Rows whose divisor values lie outside the divisor
+// are irrelevant.
+func (d *HashDivision) mark(in *record.Schema, data []byte) (err error) {
+	if d.key, err = in.AppendKey(d.key[:0], data, d.divKey); err != nil {
+		return err
+	}
+	idx, inDivisor := d.divisors[string(d.key)]
+	if !inDivisor {
+		return nil
+	}
+	if d.key, err = in.AppendKey(d.key[:0], data, d.quotKey); err != nil {
+		return err
+	}
+	q, exists := d.table[string(d.key)]
+	if !exists {
+		q = &quotient{kv: in.KeyValues(data, d.quotKey), seen: make(map[int]struct{})}
+		d.table[string(d.key)] = q
+		d.order = append(d.order, q)
+	}
+	q.seen[idx] = struct{}{}
 	return nil
 }
 
@@ -197,7 +221,7 @@ func (d *HashDivision) Next() (Rec, bool, error) {
 		return Rec{}, false, errState("hashdivision", "next before open")
 	}
 	for d.emit < len(d.order) {
-		q := d.table[d.order[d.emit]]
+		q := d.order[d.emit]
 		d.emit++
 		if d.partial {
 			vals := append(append([]record.Value(nil), q.kv...), record.Int(int64(len(q.seen))))
@@ -233,6 +257,7 @@ func (d *HashDivision) Close() error {
 }
 
 func (d *HashDivision) abort() {
+	d.divisors = nil
 	d.table = nil
 	d.order = nil
 	if d.w != nil {
@@ -253,11 +278,13 @@ type SortDivision struct {
 	divisorKey record.Key
 	schema     *record.Schema
 
-	w        *ResultWriter
-	divisor2 map[string]struct{}
-	cur      []record.Value
-	curSeen  map[string]struct{}
-	done     bool
+	w          *ResultWriter
+	divisor2   map[string]struct{} // divisor key bytes
+	cur        []record.Value      // the open group's quotient values
+	curKey     []byte              // the open group's quotient key bytes
+	curSeen    map[string]struct{} // divisor keys the open group has seen
+	key        []byte              // scratch for one row's key bytes
+	done       bool
 	open       bool
 	openFailed bool // Open ran and failed: next Close is a no-op
 }
@@ -330,8 +357,17 @@ func (d *SortDivision) openImpl() error {
 		if !ok {
 			break
 		}
-		d.divisor2[record.KeyString(ds.KeyValues(r.Data, d.divisorKey))] = struct{}{}
+		d.key, err = ds.AppendKey(d.key[:0], r.Data, d.divisorKey)
 		r.Unfix()
+		if err != nil {
+			_ = d.divisor.Close()
+			_ = d.w.Dispose()
+			d.w = nil
+			return err
+		}
+		if _, dup := d.divisor2[string(d.key)]; !dup {
+			d.divisor2[string(d.key)] = struct{}{}
+		}
 	}
 	if err := d.divisor.Close(); err != nil {
 		_ = d.w.Dispose()
@@ -344,7 +380,7 @@ func (d *SortDivision) openImpl() error {
 		return err
 	}
 	d.cur = nil
-	d.curSeen = nil
+	d.curSeen = make(map[string]struct{})
 	d.done = false
 	d.open = true
 	return nil
@@ -372,26 +408,42 @@ func (d *SortDivision) Next() (Rec, bool, error) {
 			}
 			return Rec{}, false, nil
 		}
-		kv := in.KeyValues(r.Data, d.quotKey)
-		newGroup := d.cur == nil || record.KeyString(kv) != record.KeyString(d.cur)
-		var finished []record.Value
-		if newGroup {
-			if d.cur != nil && len(d.curSeen) == len(d.divisor2) && len(d.divisor2) > 0 {
-				finished = d.cur
-			}
-			d.cur = kv
-			d.curSeen = make(map[string]struct{})
-		}
-		divK := record.KeyString(in.KeyValues(r.Data, d.divKey))
-		if _, inS := d.divisor2[divK]; inS {
-			d.curSeen[divK] = struct{}{}
-		}
+		finished, err := d.add(in, r.Data)
 		r.Unfix()
+		if err != nil {
+			return Rec{}, false, err
+		}
 		if finished != nil {
 			out, err := d.w.Write(finished)
 			return out, err == nil, err
 		}
 	}
+}
+
+// add folds one dividend row into the open group, first closing the
+// group on a quotient key change. It returns the closed group's values
+// when that group qualified.
+func (d *SortDivision) add(in *record.Schema, data []byte) (finished []record.Value, err error) {
+	if d.key, err = in.AppendKey(d.key[:0], data, d.quotKey); err != nil {
+		return nil, err
+	}
+	if d.cur == nil || !bytes.Equal(d.key, d.curKey) {
+		if d.cur != nil && len(d.curSeen) == len(d.divisor2) && len(d.divisor2) > 0 {
+			finished = d.cur
+		}
+		d.cur = in.KeyValues(data, d.quotKey)
+		d.curKey = append(d.curKey[:0], d.key...)
+		clear(d.curSeen)
+	}
+	if d.key, err = in.AppendKey(d.key[:0], data, d.divKey); err != nil {
+		return nil, err
+	}
+	if _, inS := d.divisor2[string(d.key)]; inS {
+		if _, seen := d.curSeen[string(d.key)]; !seen {
+			d.curSeen[string(d.key)] = struct{}{}
+		}
+	}
+	return finished, nil
 }
 
 // Close implements Iterator.

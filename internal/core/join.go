@@ -19,11 +19,12 @@ type NestedLoops struct {
 	pred   expr.Predicate // over the combined schema; nil = always true
 	schema *record.Schema
 
-	w     *ResultWriter
-	inner *file.File
-	lrec  Rec
-	lok   bool
-	scan  *file.Scan
+	out        splicer // builds combined records from both images
+	w          *ResultWriter
+	inner      *file.File
+	lrec       Rec
+	lok        bool
+	scan       *file.Scan
 	open       bool
 	openFailed bool // Open ran and failed: next Close is a no-op
 }
@@ -40,7 +41,10 @@ func NewNestedLoops(env *Env, left, right Iterator, predSrc string, mode expr.Mo
 		}
 		pred = p
 	}
-	return &NestedLoops{env: env, left: left, right: right, pred: pred, schema: schema}, nil
+	return &NestedLoops{
+		env: env, left: left, right: right, pred: pred, schema: schema,
+		out: newSplicer(left.Schema(), right.Schema()),
+	}, nil
 }
 
 // NewCartesianProduct builds the Cartesian product of the inputs.
@@ -153,15 +157,7 @@ func (n *NestedLoops) Next() (Rec, bool, error) {
 }
 
 func (n *NestedLoops) combineFiltered(l, r []byte) (Rec, bool, error) {
-	lv, err := n.left.Schema().Decode(l)
-	if err != nil {
-		return Rec{}, false, err
-	}
-	rv, err := n.right.Schema().Decode(r)
-	if err != nil {
-		return Rec{}, false, err
-	}
-	combined, err := n.schema.Encode(append(lv, rv...))
+	combined, err := n.out.splice(l, r)
 	if err != nil {
 		return Rec{}, false, err
 	}

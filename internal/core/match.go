@@ -86,23 +86,81 @@ func matchOutputSchema(op MatchOp, left, right *record.Schema) (*record.Schema, 
 	}
 }
 
-// zeroValues builds the zero-padding used for the missing side of outer
-// joins.
-func zeroValues(s *record.Schema) []record.Value {
-	out := make([]record.Value, s.NumFields())
-	for i := 0; i < s.NumFields(); i++ {
-		switch s.Field(i).Type {
-		case record.TInt:
-			out[i] = record.Int(0)
-		case record.TFloat:
-			out[i] = record.Float(0)
-		case record.TBool:
-			out[i] = record.Bool(false)
-		default:
-			out[i] = record.Value{Kind: s.Field(i).Type}
-		}
+// splicer builds the combined output records of the joins from record
+// images: it splices the two inputs' images into one reused buffer
+// (record.AppendConcat) and materialises the result, so no input is
+// decoded. Outer-join padding splices the missing side's zero image —
+// every number zero, every boolean false, every string empty — which is
+// a fixed area of zero bytes, built once per operator.
+type splicer struct {
+	ls, rs       *record.Schema
+	lzero, rzero []byte
+	buf          []byte
+}
+
+func newSplicer(ls, rs *record.Schema) splicer {
+	return splicer{ls: ls, rs: rs, lzero: make([]byte, ls.FixedLen()), rzero: make([]byte, rs.FixedLen())}
+}
+
+// splice returns the combined image of l and r. It aliases the
+// splicer's buffer and is valid until the next call.
+func (s *splicer) splice(l, r []byte) ([]byte, error) {
+	var err error
+	s.buf, err = record.AppendConcat(s.buf[:0], s.ls, l, s.rs, r)
+	return s.buf, err
+}
+
+// join writes the combined record of l and r through w.
+func (s *splicer) join(w *ResultWriter, l, r []byte) (Rec, error) {
+	img, err := s.splice(l, r)
+	if err != nil {
+		return Rec{}, err
 	}
-	return out
+	return w.WriteBytes(img)
+}
+
+// padRight writes l joined with a zero right side.
+func (s *splicer) padRight(w *ResultWriter, l []byte) (Rec, error) { return s.join(w, l, s.rzero) }
+
+// padLeft writes r joined with a zero left side.
+func (s *splicer) padLeft(w *ResultWriter, r []byte) (Rec, error) { return s.join(w, s.lzero, r) }
+
+// recQueue is the FIFO of output records a match operator has produced
+// but not yet returned. Popping advances a head index, and a drained
+// queue rewinds to empty, so one array serves every probe.
+type recQueue struct {
+	recs []Rec
+	head int
+}
+
+func (q *recQueue) push(r Rec) { q.recs = append(q.recs, r) }
+
+func (q *recQueue) pop() (Rec, bool) {
+	if q.head == len(q.recs) {
+		return Rec{}, false
+	}
+	r := q.recs[q.head]
+	q.head++
+	if q.head == len(q.recs) {
+		q.recs, q.head = q.recs[:0], 0
+	}
+	return r, true
+}
+
+// drainInto moves every queued record into b.
+func (q *recQueue) drainInto(b *Batch) {
+	for _, r := range q.recs[q.head:] {
+		b.Append(r)
+	}
+	q.recs, q.head = q.recs[:0], 0
+}
+
+// release unfixes every queued record and drops the array.
+func (q *recQueue) release() {
+	for _, r := range q.recs[q.head:] {
+		r.Unfix()
+	}
+	*q = recQueue{}
 }
 
 // keysEqual verifies key equality between a left and right record (hash

@@ -21,18 +21,21 @@ type HashMatch struct {
 	rightKey record.Key
 	schema   *record.Schema
 
-	table     map[uint64][]*buildEntry
-	order     []*buildEntry // build order, for deterministic trailing output
-	w         *ResultWriter // for combined outputs
-	seen      map[string]struct{}
-	pending   []Rec
-	trail     int // cursor over order for right-only emission
-	probing   bool
-	rightOpen bool
+	table      map[uint64][]*buildEntry
+	order      []*buildEntry // build order, for deterministic trailing output
+	w          *ResultWriter // for combined outputs
+	out        splicer       // builds combined outputs from both images
+	seen       map[string]struct{}
+	keyBuf     []byte        // scratch for the distinct probe's key bytes
+	matches    []*buildEntry // scratch for one probe's matching entries
+	pending    recQueue
+	trail      int // cursor over order for right-only emission
+	probing    bool
+	rightOpen  bool
 	open       bool
 	openFailed bool // Open ran and failed: next Close is a no-op
-	batch     int
-	probeSrc  recSource
+	batch      int
+	probeSrc   recSource
 }
 
 // EnableBatch implements BatchConfigurable: both the build-phase drain of
@@ -55,10 +58,14 @@ func NewHashMatch(env *Env, op MatchOp, left, right Iterator, leftKey, rightKey 
 	if err != nil {
 		return nil, err
 	}
-	return &HashMatch{
+	h := &HashMatch{
 		env: env, op: op, left: left, right: right,
 		leftKey: leftKey, rightKey: rightKey, schema: schema,
-	}, nil
+	}
+	if op.combinesSchemas() {
+		h.out = newSplicer(left.Schema(), right.Schema())
+	}
+	return h, nil
 }
 
 // Schema implements Iterator.
@@ -158,9 +165,7 @@ func (h *HashMatch) Next() (Rec, bool, error) {
 		return Rec{}, false, errState("hashmatch", "next before open")
 	}
 	for {
-		if len(h.pending) > 0 {
-			out := h.pending[0]
-			h.pending = h.pending[1:]
+		if out, ok := h.pending.pop(); ok {
 			return out, true, nil
 		}
 		if h.probing {
@@ -195,12 +200,7 @@ func (h *HashMatch) NextBatch(b *Batch) error {
 	}
 	b.Reset()
 	for {
-		if len(h.pending) > 0 {
-			for _, r := range h.pending {
-				b.Append(r)
-			}
-			h.pending = h.pending[:0]
-		}
+		h.pending.drainInto(b)
 		if b.Full() {
 			return nil
 		}
@@ -237,70 +237,76 @@ func (h *HashMatch) NextBatch(b *Batch) error {
 func (h *HashMatch) probe(l Rec) error {
 	ls, rs := h.left.Schema(), h.right.Schema()
 	hk := ls.Hash(l.Data, h.leftKey)
-	var matches []*buildEntry
+	matches := h.matches[:0]
 	for _, e := range h.table[hk] {
 		if keysEqual(ls, l.Data, h.leftKey, rs, e.rec.Data, h.rightKey) {
 			matches = append(matches, e)
 		}
 	}
+	h.matches = matches
 	matched := len(matches) > 0
 	if h.distinctProbe() {
-		key := record.KeyString(ls.KeyValues(l.Data, h.leftKey))
-		if _, dup := h.seen[key]; dup {
+		key, err := ls.AppendKey(h.keyBuf[:0], l.Data, h.leftKey)
+		if err != nil {
+			l.Unfix()
+			return err
+		}
+		h.keyBuf = key
+		if _, dup := h.seen[string(key)]; dup {
 			l.Unfix()
 			for _, e := range matches {
 				e.matched = true
 			}
 			return nil
 		}
-		h.seen[key] = struct{}{}
+		h.seen[string(key)] = struct{}{}
 	}
 	defer l.Unfix()
 	switch h.op {
 	case MatchJoin, MatchLeftOuter, MatchRightOuter, MatchFullOuter:
 		for _, e := range matches {
 			e.matched = true
-			out, err := h.combine(l.Data, e.rec.Data)
+			out, err := h.out.join(h.w, l.Data, e.rec.Data)
 			if err != nil {
 				return err
 			}
-			h.pending = append(h.pending, out)
+			h.pending.push(out)
 		}
 		if !matched && (h.op == MatchLeftOuter || h.op == MatchFullOuter) {
-			out, err := h.combinePadRight(l.Data)
+			out, err := h.out.padRight(h.w, l.Data)
 			if err != nil {
 				return err
 			}
-			h.pending = append(h.pending, out)
+			h.pending.push(out)
 		}
 	case MatchSemi:
 		if matched {
 			// Pass the left record through; it keeps its pin.
-			h.pending = append(h.pending, h.holdLeft(l))
+			h.pending.push(h.holdLeft(l))
 			return nil
 		}
 	case MatchAnti:
 		if !matched {
-			h.pending = append(h.pending, h.holdLeft(l))
+			h.pending.push(h.holdLeft(l))
 			return nil
 		}
 	case MatchUnion:
 		for _, e := range matches {
 			e.matched = true
 		}
-		h.pending = append(h.pending, h.holdLeft(l))
+		h.pending.push(h.holdLeft(l))
 		return nil
 	case MatchIntersect:
 		if matched {
 			for _, e := range matches {
 				e.matched = true
 			}
-			h.pending = append(h.pending, h.holdLeft(l))
+			h.pending.push(h.holdLeft(l))
 			return nil
 		}
 	case MatchDifference:
 		if !matched {
-			h.pending = append(h.pending, h.holdLeft(l))
+			h.pending.push(h.holdLeft(l))
 			return nil
 		}
 	case MatchAntiDifference:
@@ -339,7 +345,7 @@ func (h *HashMatch) trailNext() (Rec, bool, error) {
 			continue
 		}
 		if pad {
-			out, err := h.combinePadLeft(e.rec.Data)
+			out, err := h.out.padLeft(h.w, e.rec.Data)
 			if err != nil {
 				return Rec{}, false, err
 			}
@@ -350,35 +356,6 @@ func (h *HashMatch) trailNext() (Rec, bool, error) {
 		return e.rec.WithoutDirty(), true, nil
 	}
 	return Rec{}, false, nil
-}
-
-// combine materialises a concatenated output record.
-func (h *HashMatch) combine(l, r []byte) (Rec, error) {
-	lv, err := h.left.Schema().Decode(l)
-	if err != nil {
-		return Rec{}, err
-	}
-	rv, err := h.right.Schema().Decode(r)
-	if err != nil {
-		return Rec{}, err
-	}
-	return h.w.Write(append(lv, rv...))
-}
-
-func (h *HashMatch) combinePadRight(l []byte) (Rec, error) {
-	lv, err := h.left.Schema().Decode(l)
-	if err != nil {
-		return Rec{}, err
-	}
-	return h.w.Write(append(lv, zeroValues(h.right.Schema())...))
-}
-
-func (h *HashMatch) combinePadLeft(r []byte) (Rec, error) {
-	rv, err := h.right.Schema().Decode(r)
-	if err != nil {
-		return Rec{}, err
-	}
-	return h.w.Write(append(zeroValues(h.left.Schema()), rv...))
 }
 
 // Close implements Iterator: releases the hash table pins, closes both
@@ -424,15 +401,13 @@ func (h *HashMatch) abort() {
 }
 
 func (h *HashMatch) release() {
-	for _, r := range h.pending {
-		r.Unfix()
-	}
-	h.pending = nil
+	h.pending.release()
 	for _, e := range h.order {
 		e.rec.Unfix()
 	}
 	h.order = nil
 	h.table = nil
+	h.matches = nil
 }
 
 func (h *HashMatch) dispose() error {

@@ -19,17 +19,21 @@ type MergeMatch struct {
 	rightKey record.Key
 	schema   *record.Schema
 
-	w       *ResultWriter
-	lrec    Rec
-	lok     bool
-	rrec    Rec
-	rok     bool
-	pending []Rec
+	w          *ResultWriter
+	out        splicer // builds combined outputs from both images
+	lrec       Rec
+	lok        bool
+	rrec       Rec
+	rok        bool
+	pending    recQueue
+	lsample    []byte // copy of the current left group's first image
+	rsample    []byte // copy of the current right group's first image
+	rgroup     []Rec  // the right group of a matched key
 	open       bool
 	openFailed bool // Open ran and failed: next Close is a no-op
-	batch   int
-	lsrc    recSource
-	rsrc    recSource
+	batch      int
+	lsrc       recSource
+	rsrc       recSource
 }
 
 // EnableBatch implements BatchConfigurable: both inputs are consumed
@@ -55,10 +59,14 @@ func NewMergeMatch(env *Env, op MatchOp, left, right Iterator, leftKey, rightKey
 	if err != nil {
 		return nil, err
 	}
-	return &MergeMatch{
+	m := &MergeMatch{
 		env: env, op: op, left: left, right: right,
 		leftKey: leftKey, rightKey: rightKey, schema: schema,
-	}, nil
+	}
+	if op.combinesSchemas() {
+		m.out = newSplicer(left.Schema(), right.Schema())
+	}
+	return m, nil
 }
 
 // NewMergeMatchSorted wraps both inputs in Sort iterators on the key
@@ -139,9 +147,7 @@ func (m *MergeMatch) Next() (Rec, bool, error) {
 		return Rec{}, false, errState("mergematch", "next before open")
 	}
 	for {
-		if len(m.pending) > 0 {
-			out := m.pending[0]
-			m.pending = m.pending[1:]
+		if out, ok := m.pending.pop(); ok {
 			return out, true, nil
 		}
 		done, err := m.step()
@@ -187,12 +193,7 @@ func (m *MergeMatch) NextBatch(b *Batch) error {
 	}
 	b.Reset()
 	for {
-		if len(m.pending) > 0 {
-			for _, r := range m.pending {
-				b.Append(r)
-			}
-			m.pending = m.pending[:0]
-		}
+		m.pending.drainInto(b)
 		if b.Full() {
 			return nil
 		}
@@ -224,22 +225,22 @@ func (m *MergeMatch) leftOnlyGroup() error {
 	case MatchUnion, MatchDifference:
 		emitOne = true
 	}
-	groupKey := append([]byte(nil), m.lrec.Data...)
+	m.lsample = append(m.lsample[:0], m.lrec.Data...)
 	first := true
-	for m.lok && m.sameKey(m.left.Schema(), m.lrec.Data, m.leftKey, groupKey, m.leftKey) {
+	for m.lok && m.sameKey(m.left.Schema(), m.lrec.Data, m.leftKey, m.lsample, m.leftKey) {
 		switch {
 		case emitEach && pad:
-			out, err := m.combinePadRight(m.lrec.Data)
+			out, err := m.out.padRight(m.w, m.lrec.Data)
 			if err != nil {
 				m.lrec.Unfix()
 				return err
 			}
-			m.pending = append(m.pending, out)
+			m.pending.push(out)
 			m.lrec.Unfix()
 		case emitEach:
-			m.pending = append(m.pending, m.lrec.WithoutDirty())
+			m.pending.push(m.lrec.WithoutDirty())
 		case emitOne && first:
-			m.pending = append(m.pending, m.lrec.WithoutDirty())
+			m.pending.push(m.lrec.WithoutDirty())
 		default:
 			m.lrec.Unfix()
 		}
@@ -260,22 +261,22 @@ func (m *MergeMatch) rightOnlyGroup() error {
 	case MatchUnion, MatchAntiDifference:
 		emitOne = true
 	}
-	groupKey := append([]byte(nil), m.rrec.Data...)
+	m.rsample = append(m.rsample[:0], m.rrec.Data...)
 	first := true
-	for m.rok && m.sameKey(m.right.Schema(), m.rrec.Data, m.rightKey, groupKey, m.rightKey) {
+	for m.rok && m.sameKey(m.right.Schema(), m.rrec.Data, m.rightKey, m.rsample, m.rightKey) {
 		switch {
 		case emitEach && pad:
-			out, err := m.combinePadLeft(m.rrec.Data)
+			out, err := m.out.padLeft(m.w, m.rrec.Data)
 			if err != nil {
 				m.rrec.Unfix()
 				return err
 			}
-			m.pending = append(m.pending, out)
+			m.pending.push(out)
 			m.rrec.Unfix()
 		case emitEach:
-			m.pending = append(m.pending, m.rrec.WithoutDirty())
+			m.pending.push(m.rrec.WithoutDirty())
 		case emitOne && first:
-			m.pending = append(m.pending, m.rrec.WithoutDirty())
+			m.pending.push(m.rrec.WithoutDirty())
 		default:
 			m.rrec.Unfix()
 		}
@@ -291,9 +292,9 @@ func (m *MergeMatch) rightOnlyGroup() error {
 func (m *MergeMatch) matchedGroup() error {
 	// Buffer the right group (records stay pinned in the buffer, as the
 	// hash-based algorithm keeps its hash table pinned).
-	groupKey := append([]byte(nil), m.rrec.Data...)
-	var rgroup []Rec
-	for m.rok && m.sameKey(m.right.Schema(), m.rrec.Data, m.rightKey, groupKey, m.rightKey) {
+	m.rsample = append(m.rsample[:0], m.rrec.Data...)
+	rgroup := m.rgroup[:0]
+	for m.rok && m.sameKey(m.right.Schema(), m.rrec.Data, m.rightKey, m.rsample, m.rightKey) {
 		rgroup = append(rgroup, m.rrec)
 		if err := m.advanceRight(); err != nil {
 			for _, r := range rgroup {
@@ -302,32 +303,33 @@ func (m *MergeMatch) matchedGroup() error {
 			return err
 		}
 	}
+	m.rgroup = rgroup
 	releaseGroup := func() {
 		for _, r := range rgroup {
 			r.Unfix()
 		}
 	}
 
-	lKeySample := append([]byte(nil), m.lrec.Data...)
+	m.lsample = append(m.lsample[:0], m.lrec.Data...)
 	first := true
-	for m.lok && m.sameKey(m.left.Schema(), m.lrec.Data, m.leftKey, lKeySample, m.leftKey) {
+	for m.lok && m.sameKey(m.left.Schema(), m.lrec.Data, m.leftKey, m.lsample, m.leftKey) {
 		switch m.op {
 		case MatchJoin, MatchLeftOuter, MatchRightOuter, MatchFullOuter:
 			for _, r := range rgroup {
-				out, err := m.combine(m.lrec.Data, r.Data)
+				out, err := m.out.join(m.w, m.lrec.Data, r.Data)
 				if err != nil {
 					m.lrec.Unfix()
 					releaseGroup()
 					return err
 				}
-				m.pending = append(m.pending, out)
+				m.pending.push(out)
 			}
 			m.lrec.Unfix()
 		case MatchSemi:
-			m.pending = append(m.pending, m.lrec.WithoutDirty())
+			m.pending.push(m.lrec.WithoutDirty())
 		case MatchUnion, MatchIntersect:
 			if first {
-				m.pending = append(m.pending, m.lrec.WithoutDirty())
+				m.pending.push(m.lrec.WithoutDirty())
 			} else {
 				m.lrec.Unfix()
 			}
@@ -342,34 +344,6 @@ func (m *MergeMatch) matchedGroup() error {
 	}
 	releaseGroup()
 	return nil
-}
-
-func (m *MergeMatch) combine(l, r []byte) (Rec, error) {
-	lv, err := m.left.Schema().Decode(l)
-	if err != nil {
-		return Rec{}, err
-	}
-	rv, err := m.right.Schema().Decode(r)
-	if err != nil {
-		return Rec{}, err
-	}
-	return m.w.Write(append(lv, rv...))
-}
-
-func (m *MergeMatch) combinePadRight(l []byte) (Rec, error) {
-	lv, err := m.left.Schema().Decode(l)
-	if err != nil {
-		return Rec{}, err
-	}
-	return m.w.Write(append(lv, zeroValues(m.right.Schema())...))
-}
-
-func (m *MergeMatch) combinePadLeft(r []byte) (Rec, error) {
-	rv, err := m.right.Schema().Decode(r)
-	if err != nil {
-		return Rec{}, err
-	}
-	return m.w.Write(append(zeroValues(m.left.Schema()), rv...))
 }
 
 // Close implements Iterator.
@@ -404,10 +378,7 @@ func (m *MergeMatch) abort() {
 }
 
 func (m *MergeMatch) releasePending() {
-	for _, r := range m.pending {
-		r.Unfix()
-	}
-	m.pending = nil
+	m.pending.release()
 	if m.lok {
 		m.lrec.Unfix()
 		m.lok = false

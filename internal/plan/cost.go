@@ -220,17 +220,21 @@ func (c *coster) fillExchange(n *Node, est int64) {
 	}
 	if o.PacketSize == 0 {
 		// Small results keep latency low with small packets; big streams
-		// amortise port overhead with full ones.
+		// amortise port overhead with full ones — the largest packet the
+		// exchange accepts.
 		switch {
 		case est < 1_000:
 			o.PacketSize = 16
 		case est < 50_000:
 			o.PacketSize = 64
 		default:
-			o.PacketSize = 256
+			o.PacketSize = maxPacketSize
 		}
 	}
 }
+
+// maxPacketSize is the largest packet core.NewExchange accepts.
+const maxPacketSize = 255
 
 // partitionsBelow reports the partition count of the pscan feeding a
 // producer subtree, or 0: the walk mirrors build-time instantiation,

@@ -138,6 +138,34 @@ func TestCostFillsExchangeDOP(t *testing.T) {
 	}
 }
 
+// TestCostLargeStreamPacketBuilds costs an exchange over a stream
+// estimated at 60k rows — the largest packet tier — and then builds and
+// runs the plan: the chosen packet size must be one the exchange
+// accepts.
+func TestCostLargeStreamPacketBuilds(t *testing.T) {
+	db := newDiffDB(t)
+	tpl, err := Compile("pscan nums 4 | exchange")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan := tpl.root.Inputs[0]
+	cp := tpl.Cost(db.cat, map[*Node]int64{scan: 60_000})
+	root := cp.Template.Root()
+	if got := cp.Estimates[root]; got < 50_000 {
+		t.Fatalf("exchange estimated at %d rows, want the >=50k tier", got)
+	}
+	if root.X.PacketSize != 255 {
+		t.Errorf("packet = %d, want 255", root.X.PacketSize)
+	}
+	rows, err := Run(db.env, db.cat, root)
+	if err != nil {
+		t.Fatalf("costed plan does not build and run: %v", err)
+	}
+	if len(rows) != 500 {
+		t.Fatalf("got %d rows, want 500", len(rows))
+	}
+}
+
 // TestCostChoosePlanInsertion pins when the pass defers the hash-vs-
 // merge decision to Open: only for equality matches whose algorithm the
 // text left unchosen and whose build side resolves to a catalog table.

@@ -123,8 +123,8 @@ func putUint64(b []byte, v uint64) {
 	}
 }
 
-// KeyValues extracts the key fields of a record as copied values, usable
-// as map keys after KeyString.
+// KeyValues extracts the key fields of a record as copied values, which
+// outlive the record's buffer pin.
 func (s *Schema) KeyValues(data []byte, key Key) []Value {
 	out := make([]Value, len(key))
 	for i, f := range key {
@@ -135,31 +135,6 @@ func (s *Schema) KeyValues(data []byte, key Key) []Value {
 		out[i] = v.Copy()
 	}
 	return out
-}
-
-// KeyString renders key values into a canonical string usable as a Go map
-// key. Numeric values of equal magnitude render identically.
-func KeyString(vals []Value) string {
-	out := make([]byte, 0, 16*len(vals))
-	for _, v := range vals {
-		switch v.Kind {
-		case TInt:
-			out = appendUint64(out, 'i', uint64(v.I))
-		case TFloat:
-			out = appendUint64(out, 'f', canonicalFloatBits(v.F))
-		case TBool:
-			if v.B {
-				out = append(out, 'b', 1)
-			} else {
-				out = append(out, 'b', 0)
-			}
-		default:
-			out = append(out, 's')
-			out = appendUint64(out, 'l', uint64(len(v.S)))
-			out = append(out, v.S...)
-		}
-	}
-	return string(out)
 }
 
 func appendUint64(out []byte, tag byte, v uint64) []byte {

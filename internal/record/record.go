@@ -77,12 +77,15 @@ type Schema struct {
 	offsets []int
 	// fixedLen is the total length of the fixed area.
 	fixedLen int
-	// varFields counts variable-length fields.
-	varFields int
 	// dense marks an all-fixed schema: every byte of the fixed area is
 	// covered by a field write, so encoding needs no zero-fill pass.
-	dense  bool
-	byName map[string]int
+	dense bool
+	// varIdx lists the variable-length fields and boolOffs the
+	// fixed-area offsets of the boolean fields, in field order: the only
+	// fixed bytes AppendConcat rewrites rather than copies.
+	varIdx   []int
+	boolOffs []int
+	byName   map[string]int
 }
 
 // NewSchema builds a schema from the given fields. Field names must be
@@ -102,13 +105,16 @@ func NewSchema(fields ...Field) (*Schema, error) {
 		}
 		s.byName[f.Name] = i
 		s.offsets = append(s.offsets, off)
-		off += f.Type.fixedSize()
-		if !f.Type.Fixed() {
-			s.varFields++
+		switch {
+		case !f.Type.Fixed():
+			s.varIdx = append(s.varIdx, i)
+		case f.Type == TBool:
+			s.boolOffs = append(s.boolOffs, off)
 		}
+		off += f.Type.fixedSize()
 	}
 	s.fixedLen = off
-	s.dense = s.varFields == 0
+	s.dense = len(s.varIdx) == 0
 	return s, nil
 }
 

@@ -248,6 +248,8 @@ func TestHashStringBoundary(t *testing.T) {
 	}
 }
 
+// TestKeyString checks the oracle AppendKey is compared against
+// (image_test.go).
 func TestKeyString(t *testing.T) {
 	s := testSchema(t)
 	a := s.MustEncode(Int(10), Float(1.5), Str("k"), Bool(true), Bytes([]byte("v")))
