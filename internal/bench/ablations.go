@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"net"
 	"strings"
 	"sync"
 	"text/tabwriter"
@@ -620,83 +621,112 @@ func AblationBufferLocking(records, workers int) (*Ablation, error) {
 }
 
 // AblationSharedNothing (A11): the shared-memory exchange (records passed
-// as pinned buffer residents) vs the shared-nothing NetExchange (record
-// images copied across machines) — quantifying what the shared buffer
-// saves, and what a network boundary costs (§4.1's discussion of the
-// GAMMA-style paradigm; the multi-machine extension the paper announces).
+// as pinned buffer residents) vs the same exchange fed over a wire
+// (record images copied off one machine's buffer, framed onto a socket,
+// and materialised into another machine's buffer) — quantifying what
+// the shared buffer saves, and what a network boundary costs (§4.1's
+// discussion of the GAMMA-style paradigm; the multi-machine extension
+// the paper announces).
 func AblationSharedNothing(records int, wireLatency time.Duration) (*Ablation, error) {
 	a := &Ablation{Title: fmt.Sprintf("A11 — shared-memory vs shared-nothing exchange (%d records)", records)}
-
-	// Shared memory: one machine, pinned-record passing.
-	{
-		w, err := NewWorld(4096, 0)
+	for _, c := range []struct {
+		name string
+		wire bool
+		lat  time.Duration
+	}{
+		{"shared memory (pins, no copies)", false, 0},
+		{"shared nothing, loopback socket (copies)", true, 0},
+		{fmt.Sprintf("shared nothing, %v/packet link", wireLatency), true, wireLatency},
+	} {
+		line, err := exchangeLine(records, c.wire, c.lat)
 		if err != nil {
 			return nil, err
 		}
-		x, err := core.NewExchange(core.ExchangeConfig{
-			Schema: GenSchema, Producers: 1, Consumers: 1,
-			NewProducer: func(int) (core.Iterator, error) { return NewGen(w.Env, records, 0), nil },
-		})
-		if err != nil {
-			w.Close()
-			return nil, err
-		}
-		start := time.Now()
-		if _, err := core.Drain(x.Consumer(0)); err != nil {
-			w.Close()
-			return nil, err
-		}
-		a.Lines = append(a.Lines, Line{
-			Name: "shared memory (pins, no copies)", Elapsed: time.Since(start),
-		})
-		w.Close()
-	}
-
-	// Shared nothing: two machines, copies over an ideal (zero-latency)
-	// link, and over a link with simulated latency.
-	for _, lat := range []time.Duration{0, wireLatency} {
-		src, err := NewWorld(4096, 0)
-		if err != nil {
-			return nil, err
-		}
-		dst, err := NewWorld(4096, 0)
-		if err != nil {
-			src.Close()
-			return nil, err
-		}
-		x, err := core.NewNetExchange(core.NetExchangeConfig{
-			Schema: GenSchema, Producers: 1, Consumers: 1,
-			Latency: lat,
-			NewProducer: func(int) (core.Iterator, error) {
-				return NewGen(src.Env, records, 0), nil
-			},
-			ConsumerEnv: func(int) *core.Env { return dst.Env },
-		})
-		if err != nil {
-			src.Close()
-			dst.Close()
-			return nil, err
-		}
-		start := time.Now()
-		if _, err := core.Drain(x.Consumer(0)); err != nil {
-			src.Close()
-			dst.Close()
-			return nil, err
-		}
-		elapsed := time.Since(start)
-		packets, bytes := x.Stats()
-		name := "shared nothing, ideal link (copies)"
-		if lat > 0 {
-			name = fmt.Sprintf("shared nothing, %v/packet link", lat)
-		}
-		a.Lines = append(a.Lines, Line{
-			Name: name, Elapsed: elapsed,
-			Extra: fmt.Sprintf("%d packets, %d KB shipped", packets, bytes/1024),
-		})
-		src.Close()
-		dst.Close()
+		line.Name = c.name
+		a.Lines = append(a.Lines, line)
 	}
 	return a, nil
+}
+
+// exchangeLine drains a generator through a one-producer exchange: on
+// one machine, passing pins (wire false), or from a second machine over
+// a loopback socket (core.SendWire into a core.WireSource) whose every
+// packet is delayed by lat.
+func exchangeLine(records int, wire bool, lat time.Duration) (Line, error) {
+	src, err := NewWorld(4096, 0)
+	if err != nil {
+		return Line{}, err
+	}
+	defer src.Close()
+	newProducer := func(int) (core.Iterator, error) { return NewGen(src.Env, records, 0), nil }
+	var sender *core.WireSender
+	sent := make(chan error, 1)
+	start := time.Now()
+	if !wire {
+		sent <- nil
+	} else {
+		dst, err := NewWorld(4096, 0)
+		if err != nil {
+			return Line{}, err
+		}
+		defer dst.Close()
+		send, recv, err := socketPair()
+		if err != nil {
+			return Line{}, err
+		}
+		sender = core.NewWireSender(&delayConn{Conn: send, delay: lat}, 0)
+		go func() {
+			defer send.Close()
+			sent <- core.SendWire(sender, NewGen(src.Env, records, 0), 0, 0)
+		}()
+		newProducer = func(int) (core.Iterator, error) { return core.NewWireSource(dst.Env, GenSchema, recv, recv), nil }
+	}
+	x, err := core.NewExchange(core.ExchangeConfig{
+		Schema: GenSchema, Producers: 1, Consumers: 1, FlowControl: true, NewProducer: newProducer,
+	})
+	if err == nil {
+		_, err = core.Drain(x.Consumer(0))
+	}
+	line := Line{Elapsed: time.Since(start)}
+	if serr := <-sent; err == nil {
+		err = serr
+	}
+	if sender != nil {
+		frames, bytes := sender.Stats()
+		line.Extra = fmt.Sprintf("%d packets, %d KB shipped", frames, bytes/1024)
+	}
+	return line, err
+}
+
+// socketPair returns the two ends of one loopback TCP connection.
+func socketPair() (net.Conn, net.Conn, error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, nil, err
+	}
+	defer ln.Close()
+	send, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		return nil, nil, err
+	}
+	recv, err := ln.Accept()
+	if err != nil {
+		send.Close()
+		return nil, nil, err
+	}
+	return send, recv, nil
+}
+
+// delayConn models interconnect latency: every write — one frame, as the
+// wire sender flushes per packet — is held for delay before it is sent.
+type delayConn struct {
+	net.Conn
+	delay time.Duration
+}
+
+func (c *delayConn) Write(p []byte) (int, error) {
+	time.Sleep(c.delay)
+	return c.Conn.Write(p)
 }
 
 // AblationParallelSort (A10): serial external sort vs the §4.4 merge

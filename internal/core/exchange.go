@@ -35,7 +35,13 @@ type Exchange struct {
 	start   sync.Once
 	err     atomic.Value // first async error (type error)
 	closed  int32        // consumers that have closed
-	lastWG  sync.WaitGroup
+
+	// Producer inputs that can block outside the exchange's control (see
+	// Interrupter), and whether they have been interrupted, with what.
+	imu         sync.Mutex
+	blockers    []Interrupter
+	interrupted bool
+	icause      error
 
 	// stats
 	packetsSent atomic.Int64
@@ -209,6 +215,60 @@ var exchangeSeq atomic.Int64
 // channel closes while they are still producing. Consumers that keep
 // reading after cancellation see it in the final packet.
 var ErrCanceled = fmt.Errorf("core: exchange: query canceled")
+
+// Interrupter is implemented by producer inputs whose Next can block on
+// something other than their own subtree — a WireSource waiting on its
+// connection. The exchange interrupts them when its last consumer closes
+// (cause nil: nobody reads on, so the stream may end cleanly) and when
+// Done closes (cause ErrCanceled), so an abandoned or canceled producer
+// group unwinds without waiting out a remote stream.
+type Interrupter interface {
+	Interrupt(cause error)
+}
+
+// watchInput registers producer input in for interruption. The first
+// registration on a cancellable hub starts the one goroutine that turns
+// Done into an interrupt; it exits once the consumers have closed, and
+// the producer join on Close waits for it like for a producer.
+func (x *Exchange) watchInput(in Iterator) {
+	it, ok := in.(Interrupter)
+	if !ok {
+		return
+	}
+	x.imu.Lock()
+	x.blockers = append(x.blockers, it)
+	stopped, cause, first := x.interrupted, x.icause, len(x.blockers) == 1
+	x.imu.Unlock()
+	switch {
+	case stopped:
+		it.Interrupt(cause)
+	case first && x.cfg.Done != nil:
+		x.port.producersDone.Add(1) // a producer is running, so Close is not yet waiting
+		go func() {
+			defer x.port.producersDone.Done()
+			select {
+			case <-x.cfg.Done:
+				x.interruptInputs(ErrCanceled)
+			case <-x.port.allowClose:
+			}
+		}()
+	}
+}
+
+// interruptInputs interrupts every registered blocking input, once.
+func (x *Exchange) interruptInputs(cause error) {
+	x.imu.Lock()
+	if x.interrupted {
+		x.imu.Unlock()
+		return
+	}
+	x.interrupted, x.icause = true, cause
+	blockers := x.blockers
+	x.imu.Unlock()
+	for _, it := range blockers {
+		it.Interrupt(cause)
+	}
+}
 
 // canceled reports whether the Done channel has been closed.
 func (x *Exchange) canceled() bool {
@@ -429,9 +489,11 @@ func (x *Exchange) producerLoop(g int) {
 // packets, flags its last packet to each consumer with an end-of-stream
 // tag, waits for permission to close, and closes the subtree.
 func (x *Exchange) runProducer(g int, tk *trace.Track) {
+	// The live gauge drops before the acknowledgement, so a closed
+	// consumer never observes its own producers as still running.
+	defer x.port.producersDone.Done()
 	xmProducersLive.Add(1)
 	defer xmProducersLive.Add(-1)
-	defer x.port.producersDone.Done()
 	var begin time.Time
 	if tk != nil {
 		begin = time.Now()
@@ -446,6 +508,7 @@ func (x *Exchange) runProducer(g int, tk *trace.Track) {
 		x.finishProducer(g, nil, nil, tk)
 		return
 	}
+	x.watchInput(input)
 	if err := input.Open(); err != nil {
 		x.setErr(err)
 		x.finishProducer(g, nil, nil, tk)

@@ -73,54 +73,11 @@ func BenchmarkExchangeThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkNetExchangeThroughput is the shared-nothing variant: two
-// producers copy record images into wire packets that a consumer on a
-// different "machine" materialises into its own buffer pool. The wire
-// packets recycle through the netPacketPool, so allocs/op stays flat in
-// the record count here too.
-func BenchmarkNetExchangeThroughput(b *testing.B) {
-	dst := newTestEnv(b, 1024)
-	rec := staticIntRec()
-	const producers = 2
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		x, err := NewNetExchange(NetExchangeConfig{
-			Schema:     intSchema,
-			Producers:  producers,
-			Consumers:  1,
-			PacketSize: 83,
-			NewProducer: func(g int) (Iterator, error) {
-				return &countedSource{rec: rec, n: benchRecordsPerProducer}, nil
-			},
-			ConsumerEnv: func(int) *Env { return dst.Env },
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		n, err := Drain(x.Consumer(0))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if n != producers*benchRecordsPerProducer {
-			b.Fatalf("drained %d records", n)
-		}
-	}
-	b.StopTimer()
-	recs := float64(producers * benchRecordsPerProducer)
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*recs), "ns/record")
-}
-
-// BenchmarkNetExchangeTCPThroughput is the real-wire variant: the same
-// shared-nothing exchange, but every packet is framed by a WireSender,
-// crosses a real TCP loopback socket, and is decoded back into a pooled
-// wire packet by the consumer's reader goroutine. The delta against
-// BenchmarkNetExchangeThroughput is the cost of the wire format plus two
-// kernel socket crossings per frame. allocs/op is part of the committed
-// BENCH_7.json gate: frame encode reuses the sender's scratch/arena and
-// frame decode reuses the pooled packets' arenas, so allocations must
-// stay flat in the record count (setup plus goroutine/socket bring-up
-// only).
+// BenchmarkNetExchangeTCPThroughput is the wire rung: two senders drain
+// benchRecordsPerProducer records each onto TCP loopback (SendWire), and
+// an exchange over WireSources materialises them into a 1024-frame pool.
+// allocs/op is gated by BENCH_7.json: frame buffers and packets are
+// reused, so allocations stay flat in the record count.
 func BenchmarkNetExchangeTCPThroughput(b *testing.B) {
 	dst := newTestEnv(b, 1024)
 	rec := staticIntRec()
@@ -128,24 +85,8 @@ func BenchmarkNetExchangeTCPThroughput(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tl, err := NewTCPLoopback(1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		x, err := NewNetExchange(NetExchangeConfig{
-			Schema:     intSchema,
-			Producers:  producers,
-			Consumers:  1,
-			PacketSize: 83,
-			Transport:  tl,
-			NewProducer: func(g int) (Iterator, error) {
-				return &countedSource{rec: rec, n: benchRecordsPerProducer}, nil
-			},
-			ConsumerEnv: func(int) *Env { return dst.Env },
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
+		x, wait := wireExchange(b, dst.Env, ExchangeConfig{Producers: producers, Consumers: 1, PacketSize: 83, FlowControl: true}, 83, nil,
+			func(int) Iterator { return &countedSource{rec: rec, n: benchRecordsPerProducer} })
 		n, err := Drain(x.Consumer(0))
 		if err != nil {
 			b.Fatal(err)
@@ -153,9 +94,7 @@ func BenchmarkNetExchangeTCPThroughput(b *testing.B) {
 		if n != producers*benchRecordsPerProducer {
 			b.Fatalf("drained %d records", n)
 		}
-		if err := tl.Close(); err != nil {
-			b.Fatal(err)
-		}
+		sendersOK(b, wait)
 	}
 	b.StopTimer()
 	recs := float64(producers * benchRecordsPerProducer)

@@ -21,6 +21,7 @@ func (x *Exchange) consumerClosed(tk *trace.Track) error {
 	if int(n) == x.cfg.Consumers {
 		tk.Instant("exchange", "allow-close")
 		close(x.port.allowClose)
+		x.interruptInputs(nil)
 		if !x.cfg.Inline {
 			var begin time.Time
 			if tk != nil {

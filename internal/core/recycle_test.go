@@ -74,46 +74,6 @@ func TestExchangePacketRecycling(t *testing.T) {
 	env.checkNoPinLeak(t)
 }
 
-// TestNetExchangePacketRecycling is the same invariant for the wire-packet
-// free list of the shared-nothing exchange.
-func TestNetExchangePacketRecycling(t *testing.T) {
-	src := newTestEnv(t, 512)
-	dst := newTestEnv(t, 512)
-	const n = 8000
-	f := src.makeInts(t, "t", shuffled(n, 22)...)
-	x, err := NewNetExchange(NetExchangeConfig{
-		Schema:      intSchema,
-		Producers:   2,
-		Consumers:   1,
-		PacketSize:  10,
-		NewProducer: func(g int) (Iterator, error) { return NewFileScan(f, nil, false) },
-		ConsumerEnv: func(int) *Env { return dst.Env },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	count, err := Drain(x.Consumer(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if count != 2*n {
-		t.Fatalf("count = %d, want %d", count, 2*n)
-	}
-	st := x.NetStats()
-	if st.PoolHits == 0 {
-		t.Fatal("net pool recorded no hits: wire packets are not being recycled")
-	}
-	if got := st.PoolHits + st.PoolMisses; got != st.Packets {
-		t.Fatalf("net pool gets (%d hits + %d misses = %d) != packets sent (%d)",
-			st.PoolHits, st.PoolMisses, got, st.Packets)
-	}
-	if st.PoolMisses*4 > st.Packets {
-		t.Fatalf("net pool misses %d of %d packets", st.PoolMisses, st.Packets)
-	}
-	src.checkNoPinLeak(t)
-	dst.checkNoPinLeak(t)
-}
-
 // TestPacketRefillZeroAlloc measures the port-level packet cycle in
 // isolation: get a packet from the pool, refill it to the packet size,
 // push it through a flow-controlled queue, pop it, return it. After the

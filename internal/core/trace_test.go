@@ -144,62 +144,6 @@ func TestExchangeTraceTreeFork(t *testing.T) {
 	}
 }
 
-// TestNetExchangeTraceProtocol checks the shared-nothing exchange records
-// wire sends/receives bound by flow arrows, with producer and consumer
-// tracks on distinct per-site pids.
-func TestNetExchangeTraceProtocol(t *testing.T) {
-	machineA := newTestEnv(t, 256)
-	machineB := newTestEnv(t, 256)
-	f := machineA.makeInts(t, "t", shuffled(400, 13)...)
-	tr := trace.New()
-	x, err := NewNetExchange(NetExchangeConfig{
-		Schema:     intSchema,
-		Producers:  2,
-		Consumers:  1,
-		PacketSize: 16,
-		Tracer:     tr,
-		NewProducer: func(g int) (Iterator, error) {
-			return NewFileScan(f, nil, false)
-		},
-		ConsumerEnv: func(int) *Env { return machineB.Env },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := Collect(x.Consumer(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 800 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-
-	names := traceNames(tr)
-	for _, want := range []string{"producer-start", "wire-send", "wire-recv", "eos", "produce"} {
-		if names[want] == 0 {
-			t.Errorf("no %q event recorded; got %v", want, names)
-		}
-	}
-	// Sites are separate machines: all pids distinct, none on pid 0.
-	pids := map[int]bool{}
-	for _, s := range tr.Snapshot() {
-		if s.PID == 0 {
-			t.Errorf("track %s on pid 0; sites must get their own pid", s.Name)
-		}
-		if pids[s.PID] {
-			t.Errorf("pid %d reused across sites", s.PID)
-		}
-		pids[s.PID] = true
-	}
-	if len(pids) != 3 {
-		t.Errorf("got %d site pids, want 3", len(pids))
-	}
-	st := x.NetStats()
-	if st.Packets == 0 || st.Bytes == 0 {
-		t.Error("no wire traffic counted")
-	}
-}
-
 // countRec is a no-allocation source for the overhead benchmark and test.
 type countRec struct {
 	n, limit int

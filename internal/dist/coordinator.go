@@ -3,6 +3,7 @@ package dist
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -11,6 +12,7 @@ import (
 	"net/http"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -42,8 +44,8 @@ type CoordinatorConfig struct {
 
 // Coordinator owns the worker registry and the data plane. It does not
 // build plans itself: the serving layer hands each query's build a
-// RemoteBinder (see Coordinator.Binder) and the coordinator takes over
-// every distributable exchange cut the build reaches.
+// RemoteBinder (see Coordinator.Binder) and the coordinator supplies the
+// producers of every distributable exchange cut the build reaches.
 type Coordinator struct {
 	cfg CoordinatorConfig
 	m   *distMetrics
@@ -55,6 +57,9 @@ type Coordinator struct {
 	next    int      // round-robin cursor
 	routes  map[string]chan *routedConn
 	closed  bool
+
+	// dataConns counts routed data-plane connections not yet closed.
+	dataConns atomic.Int64
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -69,10 +74,18 @@ type workerState struct {
 
 // routedConn is an accepted data-plane connection plus its buffered
 // reader — the hello was read through the reader, and the frames behind
-// it may already be buffered there, so both halves travel together.
+// it may already be buffered there, so both halves travel together. It
+// counts in Coordinator.dataConns until its first Close.
 type routedConn struct {
-	conn net.Conn
+	net.Conn
 	br   *bufio.Reader
+	c    *Coordinator
+	once sync.Once
+}
+
+func (rc *routedConn) Close() error {
+	rc.once.Do(func() { rc.c.dataConns.Add(-1) })
+	return rc.Conn.Close()
 }
 
 // NewCoordinator opens the data plane and starts the heartbeat loop.
@@ -288,18 +301,17 @@ func (c *Coordinator) expectConn(key string) chan *routedConn {
 	return ch
 }
 
-// forgetConn withdraws interest; a conn already delivered is closed.
-func (c *Coordinator) forgetConn(key string) {
+// forgetConn withdraws interest in the stream expectConn(key) returned
+// ch for; a conn already delivered is closed. routeConn delivers under
+// c.mu, so once the route is gone no delivery can still be on its way.
+func (c *Coordinator) forgetConn(key string, ch chan *routedConn) {
 	c.mu.Lock()
-	ch := c.routes[key]
 	delete(c.routes, key)
 	c.mu.Unlock()
-	if ch != nil {
-		select {
-		case rc := <-ch:
-			_ = rc.conn.Close()
-		default:
-		}
+	select {
+	case rc := <-ch:
+		_ = rc.Close()
+	default:
 	}
 }
 
@@ -349,9 +361,8 @@ func (c *Coordinator) routeConn(conn net.Conn) {
 	_ = conn.SetReadDeadline(time.Time{})
 	key := routeKey(h.QueryID, h.Path, h.Producer, h.Attempt)
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	ch := c.routes[key]
-	delete(c.routes, key)
-	c.mu.Unlock()
 	if ch == nil {
 		// Nobody is waiting: a stale attempt (already retried) or a
 		// worker bug. Either way the stream has no consumer.
@@ -359,15 +370,21 @@ func (c *Coordinator) routeConn(conn net.Conn) {
 		_ = conn.Close()
 		return
 	}
-	ch <- &routedConn{conn: conn, br: br}
+	delete(c.routes, key)
+	c.dataConns.Add(1)
+	ch <- &routedConn{Conn: conn, br: br, c: c} // buffered: one delivery per route
 }
 
 // dispatch POSTs one fragment spec to a worker. A transport failure or
 // non-2xx acknowledgment is returned; retryability is the caller's call.
-func (c *Coordinator) dispatch(worker string, spec FragmentSpec) error {
+func (c *Coordinator) dispatch(ctx context.Context, worker string, spec FragmentSpec) error {
 	body, _ := json.Marshal(spec)
-	client := &http.Client{Timeout: c.cfg.ConnWait}
-	resp, err := client.Post("http://"+worker+"/fragment", "application/json", bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+worker+"/fragment", bytes.NewReader(body))
+	if err != nil {
+		return fmt.Errorf("dist: dispatch to %s: %w", worker, err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := (&http.Client{Timeout: c.cfg.ConnWait}).Do(req)
 	if err != nil {
 		return fmt.Errorf("dist: dispatch to %s: %w", worker, err)
 	}

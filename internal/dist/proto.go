@@ -2,10 +2,11 @@
 // splits plans at exchange boundaries (see plan.Cuts) and ships producer
 // fragments to a fleet of volcano-worker processes, and the worker that
 // executes them. Control travels over HTTP (register, dispatch,
-// heartbeat); data travels over raw TCP in the netexchange wire format
-// of internal/core — the same length-prefixed frames that cross a
-// NetExchange's transport, so a fragment's output stream is
-// indistinguishable from a local shared-nothing exchange's.
+// heartbeat); data travels over raw TCP in the VWF1 wire format of
+// internal/core. The exchange at a cut stays on the coordinator: each of
+// its producers is a fragment whose records arrive through a
+// core.WireSource, so the operators above the cut see an ordinary
+// exchange.
 //
 // A fragment ships by position, not by value: the coordinator sends the
 // whole normalized plan source plus the dotted child-index path of the
@@ -15,7 +16,7 @@
 // built — no plan serialization format to maintain.
 //
 // Worker loss is survived by skip-replay: the coordinator counts the
-// records each fragment delivered into the consuming operator and
+// records each fragment returned to the coordinator's exchange and
 // re-dispatches a dead fragment with that count as Skip; the replacement
 // worker re-executes the (deterministic) fragment and discards the
 // first Skip records before streaming. Fragments whose subtree contains

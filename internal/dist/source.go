@@ -1,16 +1,15 @@
 package dist
 
 import (
+	"context"
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/plan"
-	"repro/internal/record"
 )
 
 // BindRequest is the per-query context a Coordinator needs to take over
@@ -40,16 +39,19 @@ type BindRequest struct {
 	// Summary, when non-nil, accumulates fragment stats and wire bytes
 	// for the query's trailer and EXPLAIN ANALYZE.
 	Summary *Summary
-	// Done, when closed, makes fragment controllers abandon their work.
-	Done <-chan struct{}
 }
 
 // Binder returns the plan.RemoteBinder for one query: offered a
-// distributable exchange cut, it replaces the whole exchange subtree
-// with a remoteSource whose producers run on the worker fleet. With no
-// live workers the binder declines and the plan builds locally.
+// distributable exchange cut, it supplies the exchange's producers —
+// producer g is a fragment that runs g's subtree on the worker fleet and
+// reads its stream back over the data plane. The exchange itself stays
+// on the coordinator. With no live workers the binder declines and the
+// plan builds locally.
 func (c *Coordinator) Binder(req BindRequest) plan.RemoteBinder {
-	return func(path string, n *plan.Node) (core.Iterator, bool, error) {
+	if req.Summary == nil {
+		req.Summary = &Summary{}
+	}
+	return func(path string, n *plan.Node) (func(int) (core.Iterator, error), bool, error) {
 		if c.LiveWorkers() == 0 {
 			return nil, false, nil
 		}
@@ -57,25 +59,28 @@ func (c *Coordinator) Binder(req BindRequest) plan.RemoteBinder {
 		if env != nil && req.Meter != nil {
 			env = env.WithMeter(req.Meter)
 		}
-		schema, err := plan.FragmentSchema(env, req.Cat, req.Root, path)
+		// A probe of producer 0's subtree gives the schema crossing the
+		// cut, which the wire sources need before any worker dials in.
+		probe, err := plan.BuildFragmentProducer(env, req.Cat, req.Root, path, 0, plan.BuildOptions{})
 		if err != nil {
 			return nil, false, fmt.Errorf("dist: fragment %q schema probe: %w", path, err)
 		}
-		producers := 1
-		if n.X != nil && n.X.Producers > 1 {
-			producers = n.X.Producers
-		}
-		src := &remoteSource{
-			c:         c,
-			req:       req,
-			env:       env,
-			path:      path,
-			producers: producers,
-			resumable: plan.Deterministic(n.Inputs[0]),
-			schema:    schema,
-			done:      req.Done,
-		}
-		return src, true, nil
+		schema := probe.Schema()
+		resumable := plan.Deterministic(n.Inputs[0])
+		return func(g int) (core.Iterator, error) {
+			f := &fragment{
+				WireSource: core.NewWireSource(env, schema, nil, nil),
+				c:          c,
+				req:        req,
+				path:       path,
+				g:          g,
+				resumable:  resumable,
+				state:      "running",
+			}
+			f.ctx, f.cancel = context.WithCancelCause(context.Background())
+			req.Summary.addFrag(f.stat)
+			return f, nil
+		}, true, nil
 	}
 }
 
@@ -92,9 +97,6 @@ type Summary struct {
 }
 
 func (s *Summary) addFrag(fn func() plan.FragmentStat) {
-	if s == nil {
-		return
-	}
 	s.mu.Lock()
 	s.fns = append(s.fns, fn)
 	s.mu.Unlock()
@@ -121,423 +123,249 @@ func (s *Summary) Fragments() []plan.FragmentStat {
 	return out
 }
 
-// srcItem is one unit flowing from a fragment controller to Next: a
-// bundle of record images (copied out of the wire frame's arena), or a
-// producer's terminal EOS/error.
-type srcItem struct {
-	g       int
-	attempt int
-	recs    [][]byte
-	eos     bool
-	err     error
-}
-
-// fragState is one producer fragment's shared state. remoteSource.mu
-// guards every field; the attempt/delivered pair under one lock is what
-// makes skip-replay exact (see runProducer).
-type fragState struct {
-	worker    string
-	attempt   int   // attempt whose records Next accepts
-	delivered int64 // records handed to the consumer
-	wireBytes int64
-	state     string // running | done | failed
-}
-
-var errCanceled = errors.New("dist: query canceled")
-
-// remoteSource is the receiving end of one exchange cut: a core.Iterator
-// standing where the exchange node stood, pulling record streams that
-// producer fragments on remote workers push over the data plane.
-//
-// One controller goroutine per producer owns that fragment's lifecycle —
-// dispatch, await the dialed-in connection, decode frames, and on worker
-// loss re-dispatch with Skip set to the records already delivered. The
-// delivered count and the accepted-attempt number share one mutex, so a
-// retry's skip value is exact: once the controller bumps the attempt,
-// Next drops any stale buffered records instead of counting them.
-type remoteSource struct {
+// fragment is producer g of a remote exchange cut: the exchange's input
+// for that producer. It dispatches g's subtree to a worker, awaits the
+// worker's dial-in, and reads the stream through its core.WireSource.
+// When the worker is lost mid-stream it re-dispatches with Skip set to
+// the records already returned to the exchange. One goroutine — the
+// exchange producer's — does all of it, so that count is exact.
+type fragment struct {
+	*core.WireSource
 	c         *Coordinator
 	req       BindRequest
-	env       *core.Env
 	path      string
-	producers int
+	g         int
 	resumable bool
-	schema    *record.Schema
-	done      <-chan struct{}
 
-	w      *core.ResultWriter
-	items  chan srcItem
-	cancel chan struct{}
-	wg     sync.WaitGroup
-	closed sync.Once
+	ctx    context.Context // canceled by Interrupt, with its cause
+	cancel context.CancelCauseFunc
 
-	mu       sync.Mutex
-	frags    []*fragState
-	conns    map[net.Conn]struct{}
-	firstErr error
+	lastWorker string
+	accounted  int64        // wire bytes already billed to summary and metrics
+	delivered  atomic.Int64 // records returned to the exchange
 
-	eosLeft  int
-	pend     srcItem
-	pendIdx  int
-	havePend bool
+	mu       sync.Mutex // guards the stat fields below for live readers
+	worker   string
+	attempts int
+	state    string // running | done | failed
 }
 
-func (s *remoteSource) Schema() *record.Schema { return s.schema }
-
-func (s *remoteSource) Open() error {
-	w, err := s.env.NewResultWriter("dist", s.schema)
-	if err != nil {
+// Open dispatches the first attempt and waits for its stream.
+func (f *fragment) Open() error {
+	if err := f.WireSource.Open(); err != nil {
 		return err
 	}
-	s.w = w
-	s.items = make(chan srcItem, 8)
-	s.cancel = make(chan struct{})
-	s.conns = map[net.Conn]struct{}{}
-	s.eosLeft = s.producers
-	s.frags = make([]*fragState, s.producers)
-	for g := 0; g < s.producers; g++ {
-		f := &fragState{state: "running"}
-		s.frags[g] = f
-		g := g
-		s.req.Summary.addFrag(func() plan.FragmentStat {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return plan.FragmentStat{
-				Path:      s.path,
-				Producer:  g,
-				Worker:    f.worker,
-				Attempts:  f.attempt,
-				Records:   f.delivered,
-				WireBytes: f.wireBytes,
-				State:     f.state,
-			}
-		})
-		s.wg.Add(1)
-		go s.runProducer(g)
+	if err := f.connect(nil); err != nil {
+		f.cancel(nil)
+		_ = f.WireSource.Close()
+		return err
 	}
 	return nil
 }
 
-func (s *remoteSource) Next() (core.Rec, bool, error) {
+func (f *fragment) Next() (core.Rec, bool, error) {
 	for {
-		if s.havePend && s.pendIdx < len(s.pend.recs) {
-			data := s.pend.recs[s.pendIdx]
-			s.pendIdx++
-			s.mu.Lock()
-			f := s.frags[s.pend.g]
-			if f.attempt != s.pend.attempt {
-				// The controller moved on to a replacement attempt;
-				// everything left in this bundle will be re-delivered by
-				// the replay, so it must not reach the consumer twice.
-				s.havePend = false
-				s.mu.Unlock()
-				continue
-			}
-			f.delivered++
-			s.mu.Unlock()
-			rec, err := s.w.WriteBytes(data)
-			if err != nil {
+		r, ok, err := f.WireSource.Next()
+		switch {
+		case err != nil:
+			if err = f.recover(err); err != nil {
 				return core.Rec{}, false, err
 			}
-			return rec, true, nil
-		}
-		s.havePend = false
-		if s.eosLeft == 0 {
-			s.mu.Lock()
-			err := s.firstErr
-			s.mu.Unlock()
-			if err != nil {
-				return core.Rec{}, false, err
-			}
+		case ok:
+			f.delivered.Add(1)
+			return r, true, nil
+		default:
+			f.end("done")
 			return core.Rec{}, false, nil
 		}
-		var item srcItem
-		select {
-		case item = <-s.items:
-		case <-s.done:
-			return core.Rec{}, false, errCanceled
+	}
+}
+
+func (f *fragment) NextBatch(b *core.Batch) error {
+	for {
+		err := f.WireSource.NextBatch(b)
+		switch {
+		case err != nil:
+			if err = f.recover(err); err != nil {
+				return err
+			}
+		case b.Len() > 0:
+			f.delivered.Add(int64(b.Len()))
+			return nil
+		default:
+			f.end("done")
+			return nil
+		}
+	}
+}
+
+// Close drops the stream without reading the rest of it.
+func (f *fragment) Close() error {
+	f.end("failed")
+	f.cancel(nil)
+	return f.WireSource.Close()
+}
+
+// Interrupt implements core.Interrupter: a pending dispatch, dial-in
+// wait or blocked read returns at once.
+func (f *fragment) Interrupt(cause error) {
+	f.cancel(cause)
+	f.WireSource.Interrupt(cause)
+}
+
+// interrupted reports whether the exchange interrupted the fragment, and
+// with what: a nil cause means its consumers closed and the stream may
+// end cleanly.
+func (f *fragment) interrupted() (bool, error) {
+	cause := context.Cause(f.ctx)
+	if cause == context.Canceled {
+		return true, nil
+	}
+	return cause != nil, cause
+}
+
+// end leaves the running state: for state, or as failed when the
+// fragment was interrupted. It settles the wire bytes billed so far.
+func (f *fragment) end(state string) {
+	n := f.Received()
+	f.req.Summary.WireRecv.Add(n - f.accounted)
+	f.c.m.wireRecv.Add(n - f.accounted)
+	f.accounted = n
+	if stopped, _ := f.interrupted(); stopped {
+		state = "failed"
+	}
+	f.mu.Lock()
+	if f.state == "running" {
+		f.state = state
+	}
+	f.mu.Unlock()
+}
+
+// fail ends the fragment with err. A failure the exchange asked for (an
+// interrupt) is not counted as a fragment failure.
+func (f *fragment) fail(err error) error {
+	f.end("failed")
+	if stopped, _ := f.interrupted(); !stopped {
+		f.c.m.failures.Inc()
+	}
+	return err
+}
+
+// recover turns a broken stream into a re-dispatch; any other error
+// ends the fragment.
+func (f *fragment) recover(err error) error {
+	if stopped, _ := f.interrupted(); stopped || !errors.Is(err, core.ErrWireBroken) {
+		if errors.Is(err, core.ErrWireRemote) {
+			err = fmt.Errorf("dist: fragment %s producer %d on %s: %w", f.path, f.g, f.lastWorker, err)
+		}
+		return f.fail(err)
+	}
+	f.c.markLost(f.lastWorker)
+	return f.connect(fmt.Errorf("dist: fragment %s producer %d: connection to %s lost before EOS: %v",
+		f.path, f.g, f.lastWorker, err))
+}
+
+// connect runs dispatch attempts until a worker's stream is attached or
+// the retry budget is spent. cause is why the previous attempt ended
+// (nil for the first connect).
+func (f *fragment) connect(cause error) error {
+	for {
+		f.mu.Lock()
+		attempt := f.attempts + 1
+		if attempt <= f.c.cfg.MaxAttempts {
+			f.attempts = attempt
+		}
+		f.mu.Unlock()
+		if attempt > f.c.cfg.MaxAttempts {
+			return f.fail(fmt.Errorf("dist: fragment %s producer %d: lost after %d attempts: %v", f.path, f.g, f.attempts, cause))
+		}
+		skip := f.delivered.Load()
+		if attempt > 1 {
+			if !f.resumable && skip > 0 {
+				return f.fail(fmt.Errorf("dist: fragment %s producer %d: worker lost mid-stream and fragment is not resumable (nested exchange): %v",
+					f.path, f.g, cause))
+			}
+			f.c.m.retries.Inc()
+			f.req.Summary.Retries.Add(1)
+			f.c.cfg.Log.Printf("dist: query %s fragment %s/%d: retrying (attempt %d, skip %d): %v",
+				f.req.QueryID, f.path, f.g, attempt, skip, cause)
+		}
+		err, retryable := f.attempt(attempt, skip)
+		if stopped, cause := f.interrupted(); stopped {
+			f.end("failed")
+			return cause
 		}
 		switch {
-		case item.err != nil:
-			s.mu.Lock()
-			if s.firstErr == nil {
-				s.firstErr = item.err
-			}
-			err := s.firstErr
-			s.mu.Unlock()
-			s.eosLeft--
-			return core.Rec{}, false, err
-		case item.eos:
-			s.eosLeft--
-		default:
-			s.pend = item
-			s.pendIdx = 0
-			s.havePend = true
+		case err == nil:
+			return nil
+		case !retryable:
+			return f.fail(err)
 		}
+		cause = err
 	}
 }
 
-func (s *remoteSource) Close() error {
-	s.closed.Do(func() {
-		close(s.cancel)
-		// Sever live data-plane reads: a controller blocked in
-		// ReadWireFrame on a healthy-but-slow worker would otherwise
-		// hold up Close indefinitely.
-		s.mu.Lock()
-		for conn := range s.conns {
-			_ = conn.Close()
-		}
-		s.mu.Unlock()
-	})
-	s.wg.Wait()
-	if s.w != nil {
-		err := s.w.Dispose()
-		s.w = nil
-		return err
-	}
-	return nil
-}
-
-// push hands an item to Next, giving up when the query is closed or
-// canceled so controllers never block on an abandoned channel.
-func (s *remoteSource) push(item srcItem) bool {
-	select {
-	case s.items <- item:
-		return true
-	case <-s.cancel:
-		return false
-	case <-s.done:
-		return false
-	}
-}
-
-// beginAttempt moves producer g's accepted attempt forward and returns
-// the exact number of records already delivered — the Skip value a
-// replacement dispatch must carry. Holding the same lock as Next's
-// delivered++ makes the count final: no attempt-(n-1) record is counted
-// after this returns.
-func (s *remoteSource) beginAttempt(g, attempt int) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f := s.frags[g]
-	f.attempt = attempt
-	return f.delivered
-}
-
-func (s *remoteSource) setWorker(g int, addr string) {
-	s.mu.Lock()
-	s.frags[g].worker = addr
-	s.mu.Unlock()
-}
-
-func (s *remoteSource) setState(g int, state string) {
-	s.mu.Lock()
-	s.frags[g].state = state
-	s.mu.Unlock()
-}
-
-// trackConn registers a routed conn for Close to sever; if the source
-// is already closing, the conn is closed immediately.
-func (s *remoteSource) trackConn(conn net.Conn) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.isCanceled() {
-		_ = conn.Close()
-		return
-	}
-	s.conns[conn] = struct{}{}
-}
-
-func (s *remoteSource) untrackConn(conn net.Conn) {
-	s.mu.Lock()
-	delete(s.conns, conn)
-	s.mu.Unlock()
-}
-
-func (s *remoteSource) isCanceled() bool {
-	select {
-	case <-s.cancel:
-		return true
-	default:
-	}
-	select {
-	case <-s.done:
-		return true
-	default:
-		return false
-	}
-}
-
-// fail reports producer g's permanent failure into the stream.
-func (s *remoteSource) fail(g int, err error) {
-	s.setState(g, "failed")
-	s.c.m.failures.Inc()
-	s.push(srcItem{g: g, err: err})
-}
-
-// runProducer is producer g's controller: it drives dispatch attempts
-// until one streams to EOS or the retry budget is spent.
-func (s *remoteSource) runProducer(g int) {
-	defer s.wg.Done()
-	var lastWorker string
-	var lastErr error
-	max := s.c.cfg.MaxAttempts
-	for attempt := 1; attempt <= max; attempt++ {
-		if s.isCanceled() {
-			s.setState(g, "failed")
-			return
-		}
-		skip := s.beginAttempt(g, attempt)
-		if attempt > 1 {
-			if !s.resumable && skip > 0 {
-				s.fail(g, fmt.Errorf("dist: fragment %s producer %d: worker lost mid-stream and fragment is not resumable (nested exchange): %v",
-					s.path, g, lastErr))
-				return
-			}
-			s.c.m.retries.Inc()
-			s.req.Summary.bumpRetries()
-			s.c.cfg.Log.Printf("dist: query %s fragment %s/%d: retrying (attempt %d, skip %d): %v",
-				s.req.QueryID, s.path, g, attempt, skip, lastErr)
-		}
-		err, retryable := s.runAttempt(g, attempt, skip, &lastWorker)
-		if err == nil {
-			s.setState(g, "done")
-			return
-		}
-		if errors.Is(err, errCanceled) {
-			s.setState(g, "failed")
-			return
-		}
-		if !retryable {
-			s.fail(g, err)
-			return
-		}
-		lastErr = err
-	}
-	s.fail(g, fmt.Errorf("dist: fragment %s producer %d: lost after %d attempts: %v", s.path, g, max, lastErr))
-}
-
-// runAttempt runs one dispatch attempt end to end. A nil error means the
-// fragment streamed to EOS. retryable marks transport-shaped failures
-// (worker loss) as eligible for another attempt.
-func (s *remoteSource) runAttempt(g, attempt int, skip int64, lastWorker *string) (err error, retryable bool) {
-	key := routeKey(s.req.QueryID, s.path, g, attempt)
-	ch := s.c.expectConn(key)
-	w := s.c.pickWorker(*lastWorker)
+// attempt dispatches one attempt and attaches its stream. retryable
+// marks worker-loss shaped failures as eligible for another attempt.
+func (f *fragment) attempt(attempt int, skip int64) (err error, retryable bool) {
+	key := routeKey(f.req.QueryID, f.path, f.g, attempt)
+	ch := f.c.expectConn(key)
+	w := f.c.pickWorker(f.lastWorker)
 	if w == nil {
-		s.c.forgetConn(key)
-		return fmt.Errorf("dist: fragment %s producer %d: no live workers", s.path, g), false
+		f.c.forgetConn(key, ch)
+		return fmt.Errorf("dist: fragment %s producer %d: no live workers", f.path, f.g), false
 	}
 	spec := FragmentSpec{
-		QueryID:        s.req.QueryID,
-		Plan:           s.req.Source,
-		CatalogVersion: s.req.CatalogVersion,
-		Path:           s.path,
-		Producer:       g,
+		QueryID:        f.req.QueryID,
+		Plan:           f.req.Source,
+		CatalogVersion: f.req.CatalogVersion,
+		Path:           f.path,
+		Producer:       f.g,
 		Attempt:        attempt,
 		Skip:           skip,
-		BatchSize:      s.req.BatchSize,
-		Endpoint:       s.c.cfg.AdvertiseAddr,
+		BatchSize:      f.req.BatchSize,
+		Endpoint:       f.c.cfg.AdvertiseAddr,
 	}
-	if derr := s.c.dispatch(w.addr, spec); derr != nil {
-		s.c.forgetConn(key)
+	if derr := f.c.dispatch(f.ctx, w.addr, spec); derr != nil {
+		f.c.forgetConn(key, ch)
 		var rej *dispatchRejected
-		if errors.As(derr, &rej) {
+		if errors.As(derr, &rej) || f.ctx.Err() != nil {
 			return derr, false
 		}
-		s.c.markLost(w.addr)
+		f.c.markLost(w.addr)
 		return derr, true
 	}
-	*lastWorker = w.addr
-	s.setWorker(g, w.addr)
+	f.lastWorker = w.addr
+	f.mu.Lock()
+	f.worker = w.addr
+	f.mu.Unlock()
 
-	timer := time.NewTimer(s.c.cfg.ConnWait)
+	timer := time.NewTimer(f.c.cfg.ConnWait)
 	defer timer.Stop()
-	var rc *routedConn
 	select {
-	case rc = <-ch:
+	case rc := <-ch:
+		// Attach fails only once the fragment is interrupted.
+		return f.Attach(rc.br, rc), false
 	case <-timer.C:
-		s.c.forgetConn(key)
-		s.c.markLost(w.addr)
-		return fmt.Errorf("dist: fragment %s producer %d: worker %s accepted but never dialed in", s.path, g, w.addr), true
-	case <-s.cancel:
-		s.c.forgetConn(key)
-		return errCanceled, false
-	case <-s.done:
-		s.c.forgetConn(key)
-		return errCanceled, false
-	}
-	defer rc.conn.Close()
-	s.trackConn(rc.conn)
-	defer s.untrackConn(rc.conn)
-
-	var f core.WireFrame
-	for {
-		if rerr := core.ReadWireFrame(rc.br, &f, 0); rerr != nil {
-			if s.isCanceled() {
-				return errCanceled, false
-			}
-			s.c.markLost(w.addr)
-			return fmt.Errorf("dist: fragment %s producer %d: connection to %s lost before EOS: %v", s.path, g, w.addr, rerr), true
-		}
-		payload := 0
-		for _, r := range f.Recs {
-			payload += 4 + len(r)
-		}
-		payload += len(f.Msg)
-		s.accountWire(g, payload)
-		if ferr := f.Err(); ferr != nil {
-			return fmt.Errorf("dist: fragment %s producer %d on %s: %w", s.path, g, w.addr, ferr), false
-		}
-		if len(f.Recs) > 0 {
-			// Copy out of the frame's arena: the next ReadWireFrame
-			// overwrites it, and the item outlives this loop iteration.
-			total := 0
-			for _, r := range f.Recs {
-				total += len(r)
-			}
-			buf := make([]byte, 0, total)
-			recs := make([][]byte, 0, len(f.Recs))
-			for _, r := range f.Recs {
-				off := len(buf)
-				buf = append(buf, r...)
-				recs = append(recs, buf[off:len(buf):len(buf)])
-			}
-			if !s.push(srcItem{g: g, attempt: attempt, recs: recs}) {
-				return errCanceled, false
-			}
-		}
-		if f.EOS() {
-			if !s.push(srcItem{g: g, attempt: attempt, eos: true}) {
-				return errCanceled, false
-			}
-			return nil, false
-		}
+		f.c.forgetConn(key, ch)
+		f.c.markLost(w.addr)
+		return fmt.Errorf("dist: fragment %s producer %d: worker %s accepted but never dialed in", f.path, f.g, w.addr), true
+	case <-f.ctx.Done():
+		f.c.forgetConn(key, ch)
+		return f.ctx.Err(), false
 	}
 }
 
-// accountWire attributes one received frame's payload bytes everywhere
-// they are owed: the fragment's stats, the query's resource meter and
-// trailer summary, and the process-wide metric family.
-func (s *remoteSource) accountWire(g, payload int) {
-	s.mu.Lock()
-	s.frags[g].wireBytes += int64(payload)
-	s.mu.Unlock()
-	s.req.Meter.WireRecv(payload)
-	s.req.Summary.bumpWire(int64(payload))
-	s.c.m.wireRecv.Add(int64(payload))
-}
-
-func (s *Summary) bumpWire(n int64) {
-	if s == nil {
-		return
+func (f *fragment) stat() plan.FragmentStat {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return plan.FragmentStat{
+		Path:      f.path,
+		Producer:  f.g,
+		Worker:    f.worker,
+		Attempts:  f.attempts,
+		Records:   f.delivered.Load(),
+		WireBytes: f.Received(),
+		State:     f.state,
 	}
-	s.WireRecv.Add(n)
-}
-
-func (s *Summary) bumpRetries() {
-	if s == nil {
-		return
-	}
-	s.Retries.Add(1)
 }

@@ -177,9 +177,9 @@ func (w *Worker) untrack(c net.Conn) {
 // runFragment executes one dispatched fragment: dial the coordinator's
 // data plane, identify the stream with a hello frame, build the producer
 // subtree, and stream its records — skipping the first Skip on a
-// skip-replay resume. Build and execution errors travel back as an
-// error-EOS frame; transport errors just sever the stream (the
-// coordinator treats a missing EOS as worker loss).
+// skip-replay resume (core.SendWire). Build and execution errors travel
+// back as an error-EOS frame; transport errors just sever the stream
+// (the coordinator treats a missing EOS as worker loss).
 func (w *Worker) runFragment(tpl *plan.Template, spec FragmentSpec) {
 	w.m.active.Inc()
 	defer w.m.active.Dec()
@@ -198,11 +198,6 @@ func (w *Worker) runFragment(tpl *plan.Template, spec FragmentSpec) {
 		// window, mirroring the in-process exchange's bounded queue.
 		_ = tc.SetWriteBuffer(64 << 10)
 	}
-	if !w.track(conn) {
-		return
-	}
-	defer w.untrack(conn)
-
 	s := core.NewWireSender(conn, 0)
 	if err := s.Hello(Hello{
 		QueryID:  spec.QueryID,
@@ -213,92 +208,28 @@ func (w *Worker) runFragment(tpl *plan.Template, spec FragmentSpec) {
 		w.m.failed.Inc()
 		return
 	}
-	streamErr := w.streamFragment(s, tpl, spec)
-	frames, bytes := s.Stats()
-	_ = frames
-	w.m.wireSent.Add(bytes)
-	if streamErr != nil {
-		w.m.failed.Inc()
-		w.cfg.Log.Printf("dist: worker: query %s fragment %s/%d attempt %d: %v",
-			spec.QueryID, spec.Path, spec.Producer, spec.Attempt, streamErr)
+	// Track after the hello: a worker stopping in between still reaches
+	// the waiting fragment, whose stream then breaks at once — worker
+	// loss, retried elsewhere — instead of never dialing in.
+	if !w.track(conn) {
 		return
 	}
-	w.m.accepted.Inc()
-}
-
-// streamFragment builds and drains the producer subtree into the
-// sender. The returned error is what went wrong locally; whatever could
-// be reported to the coordinator already has been (as an error-EOS).
-func (w *Worker) streamFragment(s *core.WireSender, tpl *plan.Template, spec FragmentSpec) error {
-	fail := func(err error) error {
-		// Best effort: the coordinator would otherwise wait out its
-		// frame timeout.
-		_ = s.CloseEOS(err.Error())
-		return err
-	}
+	defer w.untrack(conn)
 	it, err := plan.BuildFragmentProducer(w.cfg.Env, w.cfg.Catalog, tpl.Root(), spec.Path, spec.Producer,
 		plan.BuildOptions{BatchSize: spec.BatchSize, QueryID: spec.QueryID, Metrics: w.cfg.Metrics})
 	if err != nil {
-		return fail(fmt.Errorf("build: %w", err))
-	}
-	if err := it.Open(); err != nil {
-		return fail(fmt.Errorf("open: %w", err))
-	}
-	skip := spec.Skip
-	emit := func(r core.Rec) error {
-		if skip > 0 {
-			skip--
-			r.Unfix()
-			return nil
-		}
-		err := s.Add(r.Data)
-		r.Unfix()
-		return err
-	}
-	var runErr error
-	if spec.BatchSize > 0 {
-		src := core.AsBatch(it)
-		b := core.NewBatch(spec.BatchSize)
-		for {
-			if err := src.NextBatch(b); err != nil {
-				runErr = err
-				break
-			}
-			if b.Len() == 0 {
-				break
-			}
-			for _, r := range b.Recs() {
-				if err := emit(r); err != nil {
-					// Transport gone: stop pulling, skip the EOS.
-					b.Release()
-					_ = it.Close()
-					return err
-				}
-			}
-			b.Release()
-		}
+		err = fmt.Errorf("build: %w", err)
+		_ = s.CloseEOS(err.Error())
 	} else {
-		for {
-			r, ok, err := it.Next()
-			if err != nil {
-				runErr = err
-				break
-			}
-			if !ok {
-				break
-			}
-			if err := emit(r); err != nil {
-				_ = it.Close()
-				return err
-			}
-		}
+		err = core.SendWire(s, it, spec.BatchSize, spec.Skip)
 	}
-	if cerr := it.Close(); runErr == nil && cerr != nil {
-		runErr = cerr
+	_, bytes := s.Stats()
+	w.m.wireSent.Add(bytes)
+	if err != nil {
+		w.m.failed.Inc()
+		w.cfg.Log.Printf("dist: worker: query %s fragment %s/%d attempt %d: %v",
+			spec.QueryID, spec.Path, spec.Producer, spec.Attempt, err)
+		return
 	}
-	if runErr != nil {
-		_ = s.CloseEOS(runErr.Error())
-		return runErr
-	}
-	return s.CloseEOS("")
+	w.m.accepted.Inc()
 }

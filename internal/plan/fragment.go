@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/record"
 )
 
 // Fragment decomposition: the coordinator pass that splits a compiled
@@ -15,14 +14,14 @@ import (
 // The exchange operator is the only place a Volcano plan crosses a
 // process boundary, so it is the only place a plan can be cut: the
 // producer subtree below a distributable exchange becomes a fragment a
-// remote worker can execute, and the exchange node itself becomes the
-// receiving end of a real wire on the coordinator. Because a Template is
-// immutable and a fragment is identified purely by position, a fragment
-// ships as (plan source, node path, producer index): the worker
-// recompiles the same source — compilation is deterministic — navigates
-// to the cut, and builds just the producer subtree with the producer
-// index in scope, exactly as the local exchange's NewProducer closure
-// would have.
+// remote worker can execute, and the exchange itself stays on the
+// coordinator, its producers reading those fragments' streams off the
+// wire. Because a Template is immutable and a fragment is identified
+// purely by position, a fragment ships as (plan source, node path,
+// producer index): the worker recompiles the same source — compilation
+// is deterministic — navigates to the cut, and builds just the producer
+// subtree with the producer index in scope, exactly as the local
+// exchange's NewProducer closure would have.
 
 // FragmentCut describes one distributable exchange boundary of a plan.
 type FragmentCut struct {
@@ -147,7 +146,7 @@ func Deterministic(n *Node) bool {
 // in scope so partitioned scans resolve to their partition files. This
 // is what a volcano-worker executes — the same instantiation the local
 // exchange's NewProducer closure performs, minus the exchange itself
-// (the wire takes its place).
+// (which stays on the coordinator, fed over the wire).
 func BuildFragmentProducer(env *core.Env, cat Catalog, root *Node, path string, producer int, o BuildOptions) (core.Iterator, error) {
 	n, err := NodeAtPath(root, path)
 	if err != nil {
@@ -175,16 +174,4 @@ func BuildFragmentProducer(env *core.Env, cat Catalog, root *Node, path string, 
 		batch:     o.BatchSize,
 		queryID:   o.QueryID,
 	}, n.Inputs[0])
-}
-
-// FragmentSchema determines the record schema crossing the cut at path
-// by building a probe instance of producer 0's subtree — the same probe
-// buildExchange performs locally. The coordinator needs the schema
-// before any worker has dialed in.
-func FragmentSchema(env *core.Env, cat Catalog, root *Node, path string) (*record.Schema, error) {
-	probe, err := BuildFragmentProducer(env, cat, root, path, 0, BuildOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return probe.Schema(), nil
 }

@@ -5,10 +5,10 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/record"
 )
 
 // TestFragmentGoldenCorpus pins the coordinator's fragment decomposition
@@ -85,48 +85,9 @@ func TestNodeAtPath(t *testing.T) {
 	}
 }
 
-// concatIter drains its inputs in order — the minimal stand-in for a
-// remote fragment feed.
-type concatIter struct {
-	its []core.Iterator
-	cur int
-}
-
-func (a *concatIter) Schema() *record.Schema { return a.its[0].Schema() }
-
-func (a *concatIter) Open() error {
-	for _, it := range a.its {
-		if err := it.Open(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (a *concatIter) Next() (core.Rec, bool, error) {
-	for a.cur < len(a.its) {
-		r, ok, err := a.its[a.cur].Next()
-		if err != nil || ok {
-			return r, ok, err
-		}
-		a.cur++
-	}
-	return core.Rec{}, false, nil
-}
-
-func (a *concatIter) Close() error {
-	var first error
-	for _, it := range a.its {
-		if err := it.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
 // TestRemoteBinderSubstitutes proves the build offers exactly the
-// distributable cuts to the binder and splices the returned iterator in
-// place of the exchange subtree.
+// distributable cuts to the binder and feeds the exchange at the cut
+// from the producers the binder supplies.
 func TestRemoteBinderSubstitutes(t *testing.T) {
 	db := newTestDB(t)
 	db.loadPartitioned(t, "nums", 200, 4)
@@ -141,21 +102,16 @@ func TestRemoteBinderSubstitutes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Bind the cut to a "remote" that is secretly a local fragment build
-	// of every producer chained through a union-style feed — the binder
-	// contract, minus the network.
+	// Bind the cut to a "remote" whose producers are secretly local
+	// fragment builds — the binder contract, minus the network.
 	var offered []string
-	binder := func(path string, x *Node) (core.Iterator, bool, error) {
+	var supplied atomic.Int32
+	binder := func(path string, x *Node) (func(int) (core.Iterator, error), bool, error) {
 		offered = append(offered, path)
-		its := make([]core.Iterator, 0, x.X.Producers)
-		for g := 0; g < x.X.Producers; g++ {
-			it, err := BuildFragmentProducer(db.env, db.cat, n, path, g, BuildOptions{})
-			if err != nil {
-				return nil, false, err
-			}
-			its = append(its, it)
-		}
-		return &concatIter{its: its}, true, nil
+		return func(g int) (core.Iterator, error) {
+			supplied.Add(1)
+			return BuildFragmentProducer(db.env, db.cat, n, path, g, BuildOptions{})
+		}, true, nil
 	}
 	it, _, err := BuildWith(db.env, db.cat, n, BuildOptions{Remote: binder})
 	if err != nil {
@@ -167,6 +123,9 @@ func TestRemoteBinderSubstitutes(t *testing.T) {
 	}
 	if len(offered) != 1 || offered[0] != "0.0" {
 		t.Fatalf("binder offered paths %v, want [0.0]", offered)
+	}
+	if n := supplied.Load(); n != 4 {
+		t.Fatalf("exchange took %d producers from the binder, want 4", n)
 	}
 	got, want := renderSorted(rows), renderSorted(wantRows)
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {

@@ -321,18 +321,18 @@ type BuildOptions struct {
 	// Remote, when non-nil, is offered every distributable exchange node
 	// (see Distributable) the build reaches on the coordinator-visible
 	// spine of the plan — never inside a producer subtree. Returning
-	// ok=true substitutes the returned iterator for the whole exchange
-	// subtree: its producers execute elsewhere (a volcano-worker fleet)
-	// and the iterator is the receiving end of the wire. Returning
-	// ok=false builds the node locally as usual. Instrumentation,
-	// tracing and batch configuration wrap the substituted iterator the
-	// same way they wrap a local exchange.
+	// ok=true keeps a real exchange at the cut but takes its producers
+	// from the binder: producer g is the returned newProducer(g), the
+	// receiving end of a wire from wherever the subtree runs (a
+	// volcano-worker fleet). Returning ok=false builds the node locally
+	// as usual. Instrumentation, tracing, cancellation and batch
+	// configuration apply to a bound exchange exactly as to a local one.
 	Remote RemoteBinder
 }
 
 // RemoteBinder intercepts distributable exchange nodes during a build.
 // path locates the node in the tree (see NodeAtPath).
-type RemoteBinder func(path string, n *Node) (core.Iterator, bool, error)
+type RemoteBinder func(path string, n *Node) (newProducer func(g int) (core.Iterator, error), ok bool, err error)
 
 // BuildWith instantiates the plan with the given options. The *Analysis
 // is non-nil iff o.Analyze or o.Metrics is set.
@@ -391,23 +391,9 @@ func BuildAnalyzedTraced(env *core.Env, cat Catalog, n *Node, tr *trace.Tracer) 
 
 // build instantiates one node, adding instrumentation when requested.
 func build(ctx *buildCtx, n *Node) (core.Iterator, error) {
-	var it core.Iterator
-	var err error
-	bound := false
-	if ctx.remote != nil && n.Kind == KindExchange && Distributable(n) {
-		// Offer the cut to the coordinator: a bound exchange's producers
-		// run on remote workers and it is replaced, whole subtree and
-		// all, by the receiving end of the wire.
-		it, bound, err = ctx.remote(ctx.path, n)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if !bound {
-		it, err = buildNode(ctx, n)
-		if err != nil {
-			return it, err
-		}
+	it, err := buildNode(ctx, n)
+	if err != nil {
+		return it, err
 	}
 	// Batch mode: configure the raw operator before any instrumentation
 	// wrap, so the whole tree switches protocol uniformly. Operators
@@ -723,6 +709,19 @@ func buildExchange(ctx *buildCtx, n *Node) (core.Iterator, error) {
 	}
 	if cfg.Producers == 0 {
 		cfg.Producers = 1
+	}
+	if ctx.remote != nil && Distributable(n) {
+		// Offer the cut to the coordinator. A bound exchange keeps its
+		// consumer side here and takes its producers from the binder.
+		// Their records materialise into this process's buffer pool, so
+		// flow control bounds how far they may run ahead of the consumer.
+		newProducer, ok, err := ctx.remote(ctx.path, n)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			cfg.NewProducer, cfg.FlowControl = newProducer, true
+		}
 	}
 	switch {
 	case o.Broadcast:

@@ -448,7 +448,6 @@ func (s *Server) execute(w http.ResponseWriter, ctx context.Context, rec *queryR
 			Cat:            s.cfg.Catalog,
 			Meter:          &rec.meter,
 			Summary:        distSum,
-			Done:           ctx.Done(),
 		})
 	}
 	it, an, err := tpl.Build(s.cfg.Env, s.cfg.Catalog, opts)

@@ -330,9 +330,16 @@ func (p *Pool) fixOnce(pid record.PageID, fresh bool, m *meter.Meter) (*Frame, e
 	}
 	p.chainRemove(victim)
 	oldPid, oldDirty, oldValid := victim.pid, victim.dirty, victim.valid
+	writeBack := oldDirty && oldValid
 	if oldValid {
-		delete(p.table, oldPid)
 		p.evictions.Add(1)
+		if !writeBack {
+			delete(p.table, oldPid)
+		}
+		// A dirty victim's old PageID stays mapped to the locked frame
+		// until its write-back lands: a concurrent Fix of the old page
+		// fails the descriptor try-lock and restarts (§4.5) instead of
+		// missing and reading the stale device image.
 	}
 	victim.pid = pid
 	victim.fixCount = 1
@@ -348,10 +355,13 @@ func (p *Pool) fixOnce(pid record.PageID, fresh bool, m *meter.Meter) (*Frame, e
 		p.mu.Unlock()
 	}
 
-	err := p.replace(victim, oldPid, oldDirty && oldValid, fresh, m)
+	err := p.replace(victim, oldPid, writeBack, fresh, m)
 
 	if p.mode != Global {
 		p.mu.Lock()
+	}
+	if writeBack {
+		delete(p.table, oldPid)
 	}
 	if err != nil {
 		// Abandon the frame: unmap it and return it to the LRU chain.

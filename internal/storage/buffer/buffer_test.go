@@ -3,6 +3,7 @@ package buffer
 import (
 	"errors"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -464,5 +465,90 @@ func TestFlushAllSelectiveDevice(t *testing.T) {
 	m, _ := reg.Get(memID)
 	if err := m.ReadPage(pidM.Page, buf); err != nil || string(buf[:3]) != "mem" {
 		t.Fatalf("mem page not flushed by FlushAll(0): %q %v", buf[:3], err)
+	}
+}
+
+// gatedDevice holds every WritePage of one page until released.
+type gatedDevice struct {
+	device.Device
+	page             uint32
+	entered, release chan struct{}
+}
+
+func (d *gatedDevice) WritePage(page uint32, data []byte) error {
+	if page == d.page {
+		close(d.entered)
+		<-d.release
+	}
+	return d.Device.WritePage(page, data)
+}
+
+// TestFixDuringDirtyWriteBack forces the interleaving that used to serve
+// stale data in TwoLevel mode: page A is the dirty LRU victim of a miss
+// whose write-back is held in flight, and a concurrent Fix(A) must wait
+// for that write-back (restarting on the locked descriptor, §4.5)
+// instead of re-reading the device's outdated image of A.
+func TestFixDuringDirtyWriteBack(t *testing.T) {
+	reg := device.NewRegistry()
+	id := reg.NextID()
+	gd := &gatedDevice{Device: device.NewMem(id), entered: make(chan struct{}), release: make(chan struct{})}
+	if err := reg.Mount(gd); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { reg.CloseAll() })
+	p := NewPool(reg, 3, TwoLevel)
+	fixNew := func() (*Frame, record.PageID) {
+		f, pid, err := p.FixNew(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f, pid
+	}
+
+	// Frame 1: page A, dirty "new" in the buffer, zeros on the device.
+	fa, pidA := fixNew()
+	copy(fa.Data(), "new")
+	p.Unfix(fa, true)
+	gd.page = pidA.Page
+	// Frame 2: a clean page behind A on the LRU chain; frame 3: pinned.
+	fd, _ := fixNew()
+	p.Unfix(fd, false)
+	fc, _ := fixNew()
+	defer p.Unfix(fc, false)
+
+	// Evict A: the miss on a fresh page blocks in A's write-back.
+	evicted := make(chan struct{})
+	go func() {
+		if f, _, err := p.FixNew(id); err == nil {
+			p.Unfix(f, false)
+		}
+		close(evicted)
+	}()
+	<-gd.entered
+	restarts := p.Stats().Restarts
+	refix := make(chan string, 1)
+	go func() {
+		f, err := p.Fix(pidA)
+		if err != nil {
+			refix <- err.Error()
+			return
+		}
+		refix <- string(f.Data()[:3])
+		p.Unfix(f, false)
+	}()
+	// Either the refix completes while the write-back is held (the stale
+	// read), or it is seen restarting on the locked victim.
+	for p.Stats().Restarts == restarts {
+		select {
+		case got := <-refix:
+			t.Fatalf("Fix(A) completed during A's write-back and read %q", got)
+		default:
+			runtime.Gosched()
+		}
+	}
+	close(gd.release)
+	<-evicted
+	if got := <-refix; got != "new" {
+		t.Fatalf("Fix(A) after write-back read %q, want \"new\"", got)
 	}
 }
