@@ -29,9 +29,9 @@ type Report struct {
 	Fig2bSlopes *Fig2bJSON       `json:"fig2b_slopes,omitempty"`
 	Ablations   []AblationJSON   `json:"ablations,omitempty"`
 	// AnalyzedPass is the instrumented pipeline pass (-analyze): elapsed
-	// time plus the sink's Next-latency distribution summarised as
-	// count/mean/quantiles. Additive and omitempty, so the schema
-	// version holds.
+	// time, the sink's exact Next call count, and its Next-latency
+	// distribution over the timed calls summarised as mean/quantiles.
+	// Additive and omitempty, so the schema version holds.
 	AnalyzedPass *AnalyzedPassJSON `json:"analyzed_pass,omitempty"`
 }
 
@@ -188,7 +188,7 @@ func (r *PassResult) JSON() *AnalyzedPassJSON {
 	return &AnalyzedPassJSON{
 		Records:   r.Records,
 		ElapsedNs: int64(r.Elapsed),
-		NextCalls: s.Count(),
+		NextCalls: r.SinkCalls,
 		MeanNs:    int64(s.Mean()),
 		P50Ns:     int64(s.Quantile(0.50)),
 		P95Ns:     int64(s.Quantile(0.95)),

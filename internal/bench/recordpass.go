@@ -64,9 +64,11 @@ type PassResult struct {
 	PerRecord time.Duration
 	// Breakdown is the per-operator/per-port report (Analyze only).
 	Breakdown string
-	// SinkLatency is the sink's Next-latency distribution (Analyze or
-	// Metrics only; zero-valued otherwise).
+	// SinkLatency is the sink's Next-latency distribution over its timed
+	// calls (Analyze or Metrics only; zero-valued otherwise).
 	SinkLatency metrics.HistogramSnapshot
+	// SinkCalls is the sink's exact Next call count (zero without a sink).
+	SinkCalls int64
 }
 
 // RunPass executes the record-passing program under the given config.
@@ -139,8 +141,11 @@ func RunPass(cfg PassConfig) (PassResult, error) {
 		Exchanges: cfg.Stages,
 		PerRecord: elapsed / time.Duration(n),
 	}
-	if sink != nil && sink.Histogram() != nil {
-		res.SinkLatency = sink.Histogram().Snapshot()
+	if sink != nil {
+		res.SinkCalls = sink.Stats().NextCalls.Load()
+		if sink.Histogram() != nil {
+			res.SinkLatency = sink.Histogram().Snapshot()
+		}
 	}
 	if cfg.Analyze {
 		res.Breakdown = formatBreakdown(sink, hubs, w.Pool.Stats().Sub(poolBase), res.SinkLatency)

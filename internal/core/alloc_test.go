@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/expr"
+	"repro/internal/metrics"
 	"repro/internal/record"
 )
 
@@ -67,6 +68,60 @@ func allocsPerInputRow(t *testing.T, rows int, build func() Iterator) float64 {
 	return n / float64(rows)
 }
 
+// joinAggRows are the inputs of the filter → hash join → hash aggregate
+// pipeline: 64 distinct emp records cycled as the probe side, one dept
+// record per department as the build side.
+func joinAggRows(depts int) (emp, dept []Rec) {
+	emp = make([]Rec, 64)
+	for i := range emp {
+		emp[i] = Rec{Data: empSchema.MustEncode(record.Int(int64(i)), record.Int(int64(i%depts)),
+			record.Float(1000+10*float64(i)), record.Str(fmt.Sprintf("emp-%d", i)))}
+	}
+	dept = make([]Rec, depts)
+	for i := range dept {
+		dept[i] = Rec{Data: allocDeptSchema.MustEncode(record.Int(int64(i)), record.Str(fmt.Sprintf("dept-%d", i)))}
+	}
+	return emp, dept
+}
+
+// joinAggPipeline builds filter → hash join → hash aggregate on a string
+// group key over zero-allocation sources, probeRows probe records in
+// all. wrap is applied to every operator as it is built, sources
+// included, the way an analyzed plan build wraps each node; batch > 0
+// switches the operators to the batch protocol.
+func joinAggPipeline(t testing.TB, env *Env, emp, dept []Rec, probeRows, batch int, wrap func(Iterator, string) Iterator) Iterator {
+	probe := wrap(&cycleSource{schema: empSchema, recs: emp, n: probeRows}, "scan")
+	filter, err := NewFilterExpr(probe, "salary > 1100", expr.Compiled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	join, err := NewHashMatch(env, MatchJoin, wrap(filter, "filter"),
+		wrap(&cycleSource{schema: allocDeptSchema, recs: dept, n: len(dept)}, "scan"), record.Key{1}, record.Key{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg, err := NewHashAggregate(env, wrap(join, "join"), record.Key{5},
+		[]AggSpec{{Func: AggCount}, {Func: AggAvg, Field: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if batch > 0 {
+		filter.EnableBatch(batch)
+		join.EnableBatch(batch)
+		agg.EnableBatch(batch)
+	}
+	return wrap(agg, "agg")
+}
+
+// plainOp leaves an operator unwrapped.
+func plainOp(it Iterator, _ string) Iterator { return it }
+
+// analyzedOp wraps an operator as an analyzed plan build does: private
+// counters and a latency histogram.
+func analyzedOp(it Iterator, name string) Iterator {
+	return Instrument(it, name).WithHistogram(metrics.NewHistogram(nil))
+}
+
 // TestAllocGateJoinAggregate is the allocation gate of the operators
 // that create or key on records: filter → hash join → hash aggregate on
 // a string group key, fed by zero-allocation sources. Join outputs are
@@ -78,41 +133,12 @@ func allocsPerInputRow(t *testing.T, rows int, build func() Iterator) float64 {
 func TestAllocGateJoinAggregate(t *testing.T) {
 	const probeRows, depts = 20000, 8
 	env := newTestEnv(t, 256)
-	emp := make([]Rec, 64)
-	for i := range emp {
-		emp[i] = Rec{Data: empSchema.MustEncode(record.Int(int64(i)), record.Int(int64(i%depts)),
-			record.Float(1000+10*float64(i)), record.Str(fmt.Sprintf("emp-%d", i)))}
-	}
-	dept := make([]Rec, depts)
-	for i := range dept {
-		dept[i] = Rec{Data: allocDeptSchema.MustEncode(record.Int(int64(i)), record.Str(fmt.Sprintf("dept-%d", i)))}
-	}
+	emp, dept := joinAggRows(depts)
 	for _, batch := range []int{0, 83} {
 		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
-			build := func() Iterator {
-				probe := &cycleSource{schema: empSchema, recs: emp, n: probeRows}
-				filter, err := NewFilterExpr(probe, "salary > 1100", expr.Compiled)
-				if err != nil {
-					t.Fatal(err)
-				}
-				join, err := NewHashMatch(env.Env, MatchJoin, filter,
-					&cycleSource{schema: allocDeptSchema, recs: dept, n: depts}, record.Key{1}, record.Key{0})
-				if err != nil {
-					t.Fatal(err)
-				}
-				agg, err := NewHashAggregate(env.Env, join, record.Key{5},
-					[]AggSpec{{Func: AggCount}, {Func: AggAvg, Field: 2}})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if batch > 0 {
-					filter.EnableBatch(batch)
-					join.EnableBatch(batch)
-					agg.EnableBatch(batch)
-				}
-				return agg
-			}
-			per := allocsPerInputRow(t, probeRows+depts, build)
+			per := allocsPerInputRow(t, probeRows+depts, func() Iterator {
+				return joinAggPipeline(t, env.Env, emp, dept, probeRows, batch, plainOp)
+			})
 			t.Logf("%.3f allocs per input row", per)
 			if per > 0.1 {
 				t.Fatalf("filter → hash join → hash aggregate allocates %.3f per input row, want <= 0.1", per)
@@ -120,6 +146,37 @@ func TestAllocGateJoinAggregate(t *testing.T) {
 		})
 	}
 	env.checkNoPinLeak(t)
+}
+
+// BenchmarkAnalyzeOverhead is the cost of always-on EXPLAIN ANALYZE on
+// the ladder: the join+agg pipeline of TestAllocGateJoinAggregate in row
+// mode, plain and with every operator wrapped as an analyzed build wraps
+// it. Row mode is the case that matters, because there the wrapper runs
+// once per record per operator. It reports ns/record per input record;
+// CI fails when min(analyzed)/min(plain) over five runs exceeds 1.10.
+func BenchmarkAnalyzeOverhead(b *testing.B) {
+	const probeRows, depts = 20000, 8
+	env := newTestEnv(b, 256)
+	emp, dept := joinAggRows(depts)
+	for _, v := range []struct {
+		name string
+		wrap func(Iterator, string) Iterator
+	}{{"plain", plainOp}, {"analyzed", analyzedOp}} {
+		b.Run(v.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for n := 0; n < b.N; n++ {
+				it := joinAggPipeline(b, env.Env, emp, dept, probeRows, 0, v.wrap)
+				rows, err := Drain(it)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if rows != depts {
+					b.Fatalf("pipeline returned %d groups, want %d", rows, depts)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*(probeRows+depts)), "ns/record")
+		})
+	}
 }
 
 // TestAllocGateSortAggregate pins that sort-based aggregation allocates

@@ -40,14 +40,23 @@ func TestInstrumentedNextZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestInstrumentedHistogramObserves checks the wiring: every Next call
-// lands one observation, shared across sibling wrappers like OpStats.
+// TestInstrumentedHistogramObserves checks the wiring: every timed Next
+// call lands one observation, shared across sibling wrappers like
+// OpStats. The first exactNexts calls after Open are all timed; after
+// them a call is timed when the wrapper's sampler says so, about one in
+// sampleEvery.
 func TestInstrumentedHistogramObserves(t *testing.T) {
+	const more = 100 * sampleEvery
 	h := metrics.NewHistogram(nil)
 	st := &OpStats{}
 	a := InstrumentWith(&nopIter{}, "op", st).WithHistogram(h)
 	b := InstrumentWith(&nopIter{}, "op", st).WithHistogram(h)
-	for i := 0; i < 5; i++ {
+	for _, w := range []*Instrumented{a, b} {
+		if err := w.Open(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < exactNexts+more; i++ {
 		if _, _, err := a.Next(); err != nil {
 			t.Fatal(err)
 		}
@@ -57,8 +66,20 @@ func TestInstrumentedHistogramObserves(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if h.Count() != 8 {
-		t.Fatalf("histogram observed %d Next calls, want 8", h.Count())
+	// Replay the sampler a fresh wrapper runs past its exact prefix.
+	sampled := 0
+	replay := &Instrumented{}
+	for i := 0; i < more; i++ {
+		if replay.sample() {
+			sampled++
+		}
+	}
+	if sampled < more/sampleEvery/2 || sampled > 2*more/sampleEvery {
+		t.Fatalf("sampler timed %d of %d calls, want about 1 in %d", sampled, more, sampleEvery)
+	}
+	if want := int64(exactNexts + sampled + 3); h.Count() != want {
+		t.Fatalf("histogram observed %d Next calls, want %d (%d exact + %d sampled on a, 3 exact on b)",
+			h.Count(), want, exactNexts, sampled)
 	}
 	s := h.Snapshot()
 	if s.Quantile(0.5) <= 0 {
@@ -66,5 +87,13 @@ func TestInstrumentedHistogramObserves(t *testing.T) {
 	}
 	if a.Histogram() != h {
 		t.Fatal("Histogram() accessor must return the attached histogram")
+	}
+	for _, w := range []*Instrumented{a, b} {
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := st.NextCalls.Load(); got != exactNexts+more+3 {
+		t.Fatalf("shared calls = %d, want %d: counts stay exact under sampling", got, exactNexts+more+3)
 	}
 }

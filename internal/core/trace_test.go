@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/record"
 	"repro/internal/trace"
 )
@@ -194,10 +195,15 @@ func BenchmarkInstrumentedNext(b *testing.B) {
 }
 
 // TestInstrumentedTraceSpans checks the enabled wrapper registers one
-// track per operator and emits open/next/close spans on it.
+// track per operator and emits open/next/close spans on it. A traced
+// wrapper times every Next call — each one is a span — so the stream is
+// longer than the exact prefix and every call also reaches the
+// histogram.
 func TestInstrumentedTraceSpans(t *testing.T) {
+	const rows = 10 * exactNexts
 	tr := trace.New()
-	it := Instrument(&countRec{limit: 3}, "src").WithTracer(tr)
+	h := metrics.NewHistogram(nil)
+	it := Instrument(&countRec{limit: rows}, "src").WithTracer(tr).WithHistogram(h)
 	if err := it.Open(); err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +223,10 @@ func TestInstrumentedTraceSpans(t *testing.T) {
 	if names["src.open"] != 1 || names["src.close"] != 1 {
 		t.Errorf("open/close spans missing: %v", names)
 	}
-	if names["src"] != 4 { // 3 rows + EOS call
-		t.Errorf("next spans = %d, want 4", names["src"])
+	if names["src"] != rows+1 { // rows + EOS call
+		t.Errorf("next spans = %d, want %d", names["src"], rows+1)
+	}
+	if h.Count() != rows+1 {
+		t.Errorf("histogram observed %d Next calls, want %d", h.Count(), rows+1)
 	}
 }

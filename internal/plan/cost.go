@@ -3,6 +3,7 @@ package plan
 import (
 	"fmt"
 	"regexp"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/record"
@@ -368,6 +369,11 @@ func (c *coster) estimate(n *Node) int64 {
 		return sum
 	case KindIndexScan:
 		card := c.tableCard(n.Table)
+		if n.LoKey != nil && n.HiKey != nil && c.uniqueIndexKey(n) {
+			// Integer keys, each at most once: the range holds at most
+			// one record per key value.
+			return maxi(mini(*n.HiKey-*n.LoKey+1, card), 1)
+		}
 		if n.LoKey != nil || n.HiKey != nil {
 			return maxi(card/3, 1)
 		}
@@ -386,8 +392,8 @@ func (c *coster) estimate(n *Node) int64 {
 		return maxi(in(0)/2, 1)
 	case KindAggregate:
 		card := in(0)
-		if len(n.GroupTerms) == 1 && n.GroupTerms[0].ByName && len(n.Inputs) == 1 && n.Inputs[0].Kind == KindScan {
-			if d := c.fieldDistinct(n.Inputs[0].Table, n.GroupTerms[0].Name); d > 0 {
+		if len(n.GroupTerms) == 1 && n.GroupTerms[0].ByName && len(n.Inputs) == 1 {
+			if d := c.inputDistinct(n.Inputs[0], n.GroupTerms[0].Name); d > 0 {
 				return mini(d, card)
 			}
 		}
@@ -447,6 +453,39 @@ func (c *coster) fieldDistinct(table, field string) int64 {
 		return 0
 	}
 	return st.DistinctOf(idx)
+}
+
+// inputDistinct finds the base table a field of n's output comes from —
+// the first scan in pre-order whose table has the field, looking through
+// filters, sorts, exchanges and joins but not through a projection or an
+// aggregation, which name their own fields — and returns the field's
+// ANALYZEd distinct count (0 when unknown).
+func (c *coster) inputDistinct(n *Node, field string) int64 {
+	switch n.Kind {
+	case KindScan, KindIndexScan:
+		return c.fieldDistinct(n.Table, field)
+	case KindProject, KindAggregate:
+		return 0
+	}
+	for _, in := range n.Inputs {
+		if d := c.inputDistinct(in, field); d > 0 {
+			return d
+		}
+	}
+	return 0
+}
+
+// uniqueIndexKey reports whether an index scan's key field is unique in
+// its table: ANALYZEd distinct count equal to the record count. The
+// catalog names indexes TABLE_FIELD (emp_id keys emp.id), which is how
+// the key field is found; an index named otherwise is not known unique.
+func (c *coster) uniqueIndexKey(n *Node) bool {
+	field, ok := strings.CutPrefix(n.IndexName, n.Table+"_")
+	if !ok {
+		return false
+	}
+	st, ok := c.stats(n.Table)
+	return ok && st.Records > 0 && c.fieldDistinct(n.Table, field) == int64(st.Records)
 }
 
 func sortByKey(key record.Key) []record.SortSpec {

@@ -2,11 +2,16 @@ package plan
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/record"
+	"repro/internal/storage/btree"
+	"repro/internal/storage/buffer"
+	"repro/internal/storage/device"
+	"repro/internal/storage/file"
 )
 
 // stripKnobs removes every knob the costing pass can fill, turning an
@@ -349,6 +354,111 @@ func TestCostMisEstimateFeedback(t *testing.T) {
 	an2 := runOnce(cp2)
 	if _, est2, obs2, mis2 := cp2.MisEstimated(an2, MisEstimateFactor); mis2 {
 		t.Fatalf("re-costed plan still mis-estimated (est %d obs %d) — feedback did not converge", est2, obs2)
+	}
+}
+
+// indexedEmpDB builds emp(id, dept, salary, name) with n rows and
+// dept(dno, dname) with 64 rows on a volume, B+-tree indexes emp_id
+// (unique key) and emp_dept (64 departments), and analyzed statistics.
+func indexedEmpDB(t *testing.T, n int) (*core.Env, VolumeCatalog) {
+	t.Helper()
+	const depts = 64
+	reg := device.NewRegistry()
+	baseID, tempID := reg.NextID(), reg.NextID()
+	reg.Mount(device.NewMem(baseID))
+	reg.Mount(device.NewMem(tempID))
+	t.Cleanup(func() { reg.CloseAll() })
+	pool := buffer.NewPool(reg, 512, buffer.TwoLevel)
+	vol := file.NewVolume(pool, baseID)
+	emp, err := vol.Create("emp", empSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byID, err := btree.Create(pool, baseID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byDept, err := btree.Create(pool, baseID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		rid, err := emp.Insert(empSchema.MustEncode(record.Int(int64(i)), record.Int(int64(i%depts)),
+			record.Float(1000+float64(i)), record.Str(fmt.Sprintf("emp-%d", i))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := byID.Insert(btree.EncodeKey(record.Int(int64(i))), rid); err != nil {
+			t.Fatal(err)
+		}
+		if err := byDept.Insert(btree.EncodeKey(record.Int(int64(i%depts))), rid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	vol.SaveIndex("emp_id", byID)
+	vol.SaveIndex("emp_dept", byDept)
+	dept, err := vol.Create("dept", deptSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for d := 0; d < depts; d++ {
+		if _, err := dept.Insert(deptSchema.MustEncode(record.Int(int64(d)), record.Str(fmt.Sprintf("dept-%02d", d)))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range []string{"emp", "dept"} {
+		if _, err := vol.Analyze(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return core.NewEnv(pool, file.NewVolume(pool, tempID)), VolumeCatalog{vol}
+}
+
+// TestCostIndexRangeOnUniqueKey pins the estimates behind the lookups a
+// server repeats. A bounded range over a unique key is estimated at one
+// row per key, and an aggregate over a join groups into the ANALYZEd
+// distinct count of its group field, so the first run's feedback finds
+// no mis-estimate and the second run is not re-planned. A range over a
+// non-unique key keeps the generic third-of-the-table guess.
+func TestCostIndexRangeOnUniqueKey(t *testing.T) {
+	const rows = 1000
+	env, cat := indexedEmpDB(t, rows)
+	run := func(cp *CostedPlan) *Analysis {
+		it, an, err := BuildWith(env, cat, cp.Template.Root(), BuildOptions{Analyze: true, Estimates: cp.Estimates})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := drainValues(it); err != nil {
+			t.Fatal(err)
+		}
+		return an
+	}
+	for _, tc := range []struct {
+		script    string
+		est       int64 // of the root
+		converges bool  // the first run's feedback finds no mis-estimate
+	}{
+		{"iscan emp emp_id 500 509", 10, true},
+		{"iscan emp emp_id 0 4999", rows, true}, // no more than the table
+		{"with d = scan dept\niscan emp emp_id 100 199 | join hash d on dept = dno | agg group dname compute count, avg(salary)", 64, true},
+		{"iscan emp emp_dept 2 3", rows / 3, false},
+	} {
+		tpl, err := Compile(tc.script)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp := tpl.Cost(cat, nil)
+		if got := cp.Estimates[cp.Template.Root()]; got != tc.est {
+			t.Errorf("%q: estimate %d, want %d", tc.script, got, tc.est)
+		}
+		if !tc.converges {
+			continue
+		}
+		// The server's feedback loop: only a mis-estimate in a completed
+		// run discards the costed plan and re-plans the next run.
+		if n, est, obs, mis := cp.MisEstimated(run(cp), MisEstimateFactor); mis {
+			t.Errorf("%q: first run mis-estimated at %s (est %d obs %d): the second run would re-plan", tc.script, describe(n), est, obs)
+		}
 	}
 }
 

@@ -253,8 +253,8 @@ type buildCtx struct {
 	env       *core.Env
 	cat       Catalog
 	partition int             // current producer index (for partitioned scans)
-	analysis  *Analysis       // non-nil when instrumenting (BuildAnalyzed)
-	tracer    *trace.Tracer   // non-nil when event tracing (BuildTraced)
+	analysis  *Analysis       // non-nil when instrumenting (BuildOptions.Analyze)
+	tracer    *trace.Tracer   // non-nil when event tracing (BuildOptions.Tracer)
 	done      <-chan struct{} // non-nil: cancellation for exchange producer groups
 	batch     int             // >0: enable the batch protocol on every operator
 	queryID   string          // stamped into exchanges for pprof labels
@@ -274,16 +274,25 @@ func (c *buildCtx) in(i int) *buildCtx {
 }
 
 // BuildOptions selects the optional build facilities. The zero value is a
-// plain Build. All combinations compose: one iterator tree can be
+// plain build. All combinations compose: one iterator tree can be
 // instrumented, traced, scrape-visible and cancellable at once.
 type BuildOptions struct {
-	// Analyze wraps every operator for EXPLAIN ANALYZE; the returned
+	// Analyze wraps every operator in a core.Instrumented adapter for
+	// EXPLAIN ANALYZE and registers every exchange hub; the returned
 	// *Analysis is non-nil. Implied by Metrics.
 	Analyze bool
-	// Tracer records structured protocol events (nil = off).
+	// Tracer records structured protocol events (nil = off): every
+	// operator's open/next/close calls become spans, and every exchange
+	// (and the producer subtrees it forks at run time) emits its protocol
+	// events — spawn, packet push/pop, token waits, end-of-stream,
+	// shutdown handshake — onto per-goroutine tracks. With Analyze the
+	// spans and the counters come from one set of wrappers, so they
+	// describe exactly the same run.
 	Tracer *trace.Tracer
-	// Metrics registers per-operator Next-latency histograms
-	// (volcano_op_next_seconds) on the registry (nil = off).
+	// Metrics registers per-operator Next-latency histograms on the
+	// registry (nil = off): family volcano_op_next_seconds, labelled by
+	// operator kind and plan-node position, so a live scraper sees the
+	// operators of the running query.
 	Metrics *metrics.Registry
 	// Done, when non-nil, is plumbed into every exchange the build
 	// instantiates: closing it makes producer groups abandon their
@@ -355,38 +364,6 @@ func BuildWith(env *core.Env, cat Catalog, n *Node, o BuildOptions) (core.Iterat
 	}
 	it, err := build(&buildCtx{env: env, cat: cat, tracer: o.Tracer, done: o.Done, batch: o.BatchSize, queryID: o.QueryID, remote: o.Remote}, n)
 	return it, nil, err
-}
-
-// BuildObserved is the full observability build: EXPLAIN ANALYZE
-// instrumentation, optional event tracing, and per-operator Next
-// latency histograms registered on the metrics registry (family
-// volcano_op_next_seconds, labelled by operator kind and plan-node
-// position) so a live scraper sees the operators of the running query.
-// Either tr or mr (or both) may be nil; with both nil it is
-// BuildAnalyzed.
-func BuildObserved(env *core.Env, cat Catalog, n *Node, tr *trace.Tracer, mr *metrics.Registry) (core.Iterator, *Analysis, error) {
-	return buildObserved(env, cat, n, 0, BuildOptions{Analyze: true, Tracer: tr, Metrics: mr})
-}
-
-// Build instantiates the plan into an iterator tree.
-func Build(env *core.Env, cat Catalog, n *Node) (core.Iterator, error) {
-	return build(&buildCtx{env: env, cat: cat}, n)
-}
-
-// BuildTraced is Build with event tracing: every operator is wrapped in
-// an instrumentation adapter recording open/next/close spans onto the
-// tracer, and every exchange (and the producer subtrees it forks at run
-// time) emits its protocol events — spawn, packet push/pop, token waits,
-// end-of-stream, shutdown handshake — onto per-goroutine tracks.
-func BuildTraced(env *core.Env, cat Catalog, n *Node, tr *trace.Tracer) (core.Iterator, error) {
-	return build(&buildCtx{env: env, cat: cat, tracer: tr}, n)
-}
-
-// BuildAnalyzedTraced combines EXPLAIN ANALYZE instrumentation with
-// event tracing; the two share one set of wrappers, so the trace and the
-// aggregate counters describe exactly the same run.
-func BuildAnalyzedTraced(env *core.Env, cat Catalog, n *Node, tr *trace.Tracer) (core.Iterator, *Analysis, error) {
-	return buildAnalyzed(env, cat, n, tr)
 }
 
 // build instantiates one node, adding instrumentation when requested.
@@ -776,7 +753,7 @@ func allFieldsKey(s *record.Schema) record.Key {
 
 // Run builds and executes the plan, returning decoded rows.
 func Run(env *core.Env, cat Catalog, n *Node) ([][]record.Value, error) {
-	it, err := Build(env, cat, n)
+	it, _, err := BuildWith(env, cat, n, BuildOptions{})
 	if err != nil {
 		return nil, err
 	}
