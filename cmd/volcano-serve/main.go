@@ -69,9 +69,6 @@ type options struct {
 	maxQueryTime  time.Duration
 	planCache     int
 	drainTimeout  time.Duration
-	// batch, when positive, executes every query under the batch-at-a-time
-	// protocol by default; requests override per query with X-Volcano-Batch.
-	batch int
 	// noCost turns the cost-based planning pass off: queries run their
 	// plan text verbatim, with no planner-chosen knobs and no
 	// cardinality feedback.
@@ -125,7 +122,6 @@ func main() {
 	flag.DurationVar(&o.queueWait, "queue-wait", 10*time.Second, "longest a query waits for admission before a 503")
 	flag.DurationVar(&o.maxQueryTime, "max-query-time", 0, "per-query execution deadline (0 = unbounded)")
 	flag.IntVar(&o.planCache, "plan-cache", 128, "compiled-plan LRU capacity (negative disables)")
-	flag.IntVar(&o.batch, "batch", 0, "default batch size for query execution, overridable per request with X-Volcano-Batch (0 = record-at-a-time)")
 	cost := flag.Bool("cost", true, "cost-based planning: fill unset exchange parallelism, packet sizes and match strategy from table statistics, with cardinality feedback on repeats")
 	flag.DurationVar(&o.slowQuery, "slow-query", time.Second, "slow-query log threshold; errored/canceled queries are always logged (0 = only those, negative = no log)")
 	flag.StringVar(&o.queryLog, "query-log", "", "append slow-query entries to this file as JSON lines (empty = in-memory ring only)")
@@ -245,7 +241,6 @@ func run(o options) error {
 		PlanCacheSize:     o.planCache,
 		DisableCosting:    o.noCost,
 		WriteStallTimeout: o.writeStall,
-		BatchSize:         o.batch,
 		SlowQuery:         o.slowQuery,
 		SlowLogSink:       slowSink,
 		Metrics:           mr,

@@ -523,6 +523,7 @@ func printResult(it core.Iterator, maxRows, batch int) error {
 func printBatches(it core.Iterator, sch *record.Schema, maxRows, batch int) error {
 	src := core.AsBatch(it)
 	b := core.NewBatch(batch)
+	defer core.Recycle(b)
 	n := 0
 	for {
 		if err := src.NextBatch(b); err != nil {

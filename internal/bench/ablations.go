@@ -677,7 +677,7 @@ func exchangeLine(records int, wire bool, lat time.Duration) (Line, error) {
 		sender = core.NewWireSender(&delayConn{Conn: send, delay: lat}, 0)
 		go func() {
 			defer send.Close()
-			sent <- core.SendWire(sender, NewGen(src.Env, records, 0), 0, 0)
+			sent <- core.SendWire(sender, NewGen(src.Env, records, 0), 0)
 		}()
 		newProducer = func(int) (core.Iterator, error) { return core.NewWireSource(dst.Env, GenSchema, recv, recv), nil }
 	}

@@ -276,6 +276,7 @@ func (h *HashAggregate) openImpl() error {
 	for {
 		r, ok, err := src.next()
 		if err != nil {
+			src.release()
 			_ = h.input.Close()
 			_ = h.w.Dispose()
 			h.w = nil
@@ -346,24 +347,6 @@ func (h *HashAggregate) Next() (Rec, bool, error) {
 	}
 	r, err := h.emitGroup()
 	return r, err == nil, err
-}
-
-// NextBatch implements BatchIterator natively: one call emits a whole
-// run of groups in first-seen order.
-func (h *HashAggregate) NextBatch(b *Batch) error {
-	if !h.open {
-		return errState("hashaggregate", "next before open")
-	}
-	b.Reset()
-	for !b.Full() && h.emit < len(h.order) {
-		r, err := h.emitGroup()
-		if err != nil {
-			b.Release()
-			return err
-		}
-		b.Append(r)
-	}
-	return nil
 }
 
 // Close implements Iterator.
@@ -474,27 +457,6 @@ func (s *SortAggregate) Next() (Rec, bool, error) {
 		return Rec{}, false, errState("sortaggregate", "next before open")
 	}
 	return s.nextGroup()
-}
-
-// NextBatch implements BatchIterator natively: one call emits a whole
-// run of finished groups.
-func (s *SortAggregate) NextBatch(b *Batch) error {
-	if !s.open {
-		return errState("sortaggregate", "next before open")
-	}
-	b.Reset()
-	for !b.Full() {
-		r, ok, err := s.nextGroup()
-		if err != nil {
-			b.Release()
-			return err
-		}
-		if !ok {
-			break
-		}
-		b.Append(r)
-	}
-	return nil
 }
 
 // nextGroup emits the next finished group, consuming input until a key

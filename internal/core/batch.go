@@ -1,16 +1,12 @@
 package core
 
 import (
+	"sync"
 	"sync/atomic"
-	"unsafe"
 
 	"repro/internal/record"
 	"repro/internal/storage/file"
 )
-
-// batchRecBytes is the accounting size of one batch record slot, used to
-// express batch-pool occupancy in bytes for per-query memory attribution.
-const batchRecBytes = int64(unsafe.Sizeof(Rec{}))
 
 // DefaultBatchSize is the default number of records per batch. It matches
 // the standard exchange packet size so that in batch mode one producer
@@ -43,13 +39,43 @@ type Batch struct {
 	lpool *packetPool
 }
 
-// NewBatch builds an empty batch that aims for target records per refill
-// (DefaultBatchSize when target < 1).
+// batchStore is the process-wide free list behind NewBatch and Recycle:
+// every batch user draws its batch here and returns it when done, so the
+// steady state allocates no batch storage per query or per producer.
+var batchStore = sync.Pool{New: func() any { return new(Batch) }}
+
+// batchesLive counts batches handed out by NewBatch and not yet
+// recycled; tests use it to check that every user recycles exactly once.
+var batchesLive atomic.Int64
+
+// NewBatch returns an empty batch, recycled when the store has one, that
+// aims for target records per refill (DefaultBatchSize when target < 1).
+// Return it with Recycle once done.
 func NewBatch(target int) *Batch {
 	if target < 1 {
 		target = DefaultBatchSize
 	}
-	return &Batch{own: make([]Rec, 0, target), target: target}
+	b := batchStore.Get().(*Batch)
+	if cap(b.own) < target {
+		b.own = make([]Rec, 0, target)
+	}
+	b.recs, b.target = b.own, target
+	batchesLive.Add(1)
+	return b
+}
+
+// Recycle resets b — a lent packet goes back to its packet pool, and
+// record references are dropped without unfixing — and returns it to the
+// store behind NewBatch. The caller must own b exclusively, must already
+// have released or passed on its records' pins, and must not touch b
+// afterwards. A nil b is a no-op.
+func Recycle(b *Batch) {
+	if b == nil {
+		return
+	}
+	b.Reset()
+	batchesLive.Add(-1)
+	batchStore.Put(b)
 }
 
 // Target returns the batch's nominal fill size. A callee stops appending
@@ -186,7 +212,9 @@ func (s rowSource) release()                 {}
 
 // batchReader adapts batch pulls back to a record cursor: one NextBatch
 // refill per batch amortises the per-record call chain for the consume
-// loops of stop-and-go operators.
+// loops of stop-and-go operators. Its batch goes back to the store at
+// end of stream or on release, whichever comes first; a reader without
+// a batch reports end of stream.
 type batchReader struct {
 	src BatchIterator
 	b   *Batch
@@ -198,13 +226,17 @@ func newBatchReader(it Iterator, size int) *batchReader {
 }
 
 func (r *batchReader) next() (Rec, bool, error) {
+	if r.b == nil {
+		return Rec{}, false, nil
+	}
 	for r.pos >= r.b.Len() {
+		r.pos = 0
 		if err := r.src.NextBatch(r.b); err != nil {
-			r.pos = 0
 			return Rec{}, false, err
 		}
-		r.pos = 0
 		if r.b.Len() == 0 {
+			Recycle(r.b)
+			r.b = nil
 			return Rec{}, false, nil
 		}
 	}
@@ -214,11 +246,14 @@ func (r *batchReader) next() (Rec, bool, error) {
 }
 
 func (r *batchReader) release() {
+	if r.b == nil {
+		return
+	}
 	for _, rec := range r.b.Recs()[r.pos:] {
 		rec.Unfix()
 	}
-	r.b.Reset()
-	r.pos = 0
+	Recycle(r.b)
+	r.b, r.pos = nil, 0
 }
 
 // inputSource picks the consume cursor for an operator's input: batch
@@ -231,82 +266,6 @@ func inputSource(it Iterator, batch int) recSource {
 	return rowSource{it}
 }
 
-// BatchPool is a bounded free list of batches, the batch-protocol
-// counterpart of the packet free list: exchange producers draw their
-// pull batches here so the steady state allocates nothing per batch.
-// Like packetPool it is used non-blockingly from both sides — Get falls
-// back to a fresh batch when the list is empty (a miss), Put drops the
-// batch when the list is full (a discard) — so every path that is unsure
-// whether a batch may be reused can simply not return it.
-type BatchPool struct {
-	free   chan *Batch
-	target int
-
-	hits     atomic.Int64
-	misses   atomic.Int64
-	discards atomic.Int64
-
-	// meter, when set, attributes the pool's memory footprint to one
-	// query: allocations (misses) add to its live/high-water bytes,
-	// discards subtract. Steady-state hits and puts touch nothing.
-	meter *ResourceMeter
-}
-
-// MeterTo attributes the pool's batch memory to m (nil disables). Set
-// before the pool is shared between goroutines.
-func (p *BatchPool) MeterTo(m *ResourceMeter) { p.meter = m }
-
-// NewBatchPool builds a free list bounded to size batches of the given
-// target fill.
-func NewBatchPool(size, target int) *BatchPool {
-	if size < 1 {
-		size = 1
-	}
-	if target < 1 {
-		target = DefaultBatchSize
-	}
-	return &BatchPool{free: make(chan *Batch, size), target: target}
-}
-
-// Get returns a recycled batch, or a freshly allocated one when the free
-// list is empty. The batch arrives reset.
-func (p *BatchPool) Get() *Batch {
-	select {
-	case b := <-p.free:
-		p.hits.Add(1)
-		xmBatchPoolHits.Add(1)
-		return b
-	default:
-		p.misses.Add(1)
-		xmBatchPoolMisses.Add(1)
-		p.meter.BatchAlloc(int64(p.target) * batchRecBytes)
-		return NewBatch(p.target)
-	}
-}
-
-// Put resets b (returning any lent packet, dropping stale record
-// references without unfixing) and returns it to the free list, or drops
-// it for the GC when the list is full. The caller must own the batch
-// exclusively and must not touch it afterwards.
-func (p *BatchPool) Put(b *Batch) {
-	if b == nil {
-		return
-	}
-	b.Reset()
-	select {
-	case p.free <- b:
-	default:
-		p.discards.Add(1)
-		xmBatchPoolDiscards.Add(1)
-		p.meter.BatchFree(int64(cap(b.own)) * batchRecBytes)
-	}
-}
-
-// Stats snapshots the pool counters.
-func (p *BatchPool) Stats() (hits, misses, discards int64) {
-	return p.hits.Load(), p.misses.Load(), p.discards.Load()
-}
-
 // DrainBatch pulls everything from it through the batch protocol
 // (between Open and Close), unfixing each record, and returns the count:
 // the batch-mode counterpart of Drain.
@@ -316,10 +275,10 @@ func DrainBatch(it Iterator, size int) (int, error) {
 	}
 	src := AsBatch(it)
 	b := NewBatch(size)
+	defer Recycle(b)
 	n := 0
 	for {
 		if err := src.NextBatch(b); err != nil {
-			b.Release()
 			_ = it.Close()
 			return n, err
 		}
@@ -331,7 +290,6 @@ func DrainBatch(it Iterator, size int) (int, error) {
 		// batch typically costs one or two pool-lock rounds to unpin.
 		file.UnfixBatch(b.Recs())
 	}
-	b.Reset()
 	return n, it.Close()
 }
 
@@ -345,10 +303,10 @@ func CollectBatch(it Iterator, size int) ([][]record.Value, error) {
 	src := AsBatch(it)
 	s := it.Schema()
 	b := NewBatch(size)
+	defer Recycle(b)
 	var rows [][]record.Value
 	for {
 		if err := src.NextBatch(b); err != nil {
-			b.Release()
 			_ = it.Close()
 			return rows, err
 		}
@@ -361,7 +319,6 @@ func CollectBatch(it Iterator, size int) ([][]record.Value, error) {
 				for _, rest := range b.Recs()[i:] {
 					rest.Unfix()
 				}
-				b.Reset()
 				_ = it.Close()
 				return rows, err
 			}
@@ -372,6 +329,5 @@ func CollectBatch(it Iterator, size int) ([][]record.Value, error) {
 			r.Unfix()
 		}
 	}
-	b.Reset()
 	return rows, it.Close()
 }

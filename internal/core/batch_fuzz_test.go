@@ -96,40 +96,6 @@ func FuzzBatchDecode(f *testing.F) {
 				t.Fatalf("row %d: %q (row mode) vs %q (batch size %d)", i, render(rowRows[i]), render(batchRows[i]), size)
 			}
 		}
-
-		// The batch predicate helper over the surviving images must agree
-		// with per-record evaluation (partial final batch included).
-		pred, err := expr.ParsePredicate("v % 3 <> 1", schema, expr.Interpreted)
-		if err != nil {
-			t.Fatal(err)
-		}
-		datas := make([][]byte, 0, len(rowRows))
-		for _, r := range rowRows {
-			data, err := schema.Encode(r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			datas = append(datas, data)
-		}
-		for off := 0; off < len(datas); off += size {
-			end := off + size
-			if end > len(datas) {
-				end = len(datas)
-			}
-			keep := make([]bool, end-off)
-			nok, err := expr.PredicateBatch(pred, datas[off:end], keep)
-			if err != nil {
-				t.Fatalf("PredicateBatch at offset %d: %v", off, err)
-			}
-			if nok != end-off {
-				t.Fatalf("PredicateBatch stopped at %d of %d", nok, end-off)
-			}
-			for i, k := range keep {
-				if !k {
-					t.Fatalf("batch predicate dropped surviving row %d", off+i)
-				}
-			}
-		}
 		env.checkNoPinLeak(t)
 	})
 }

@@ -164,6 +164,7 @@ func TestBatchSizeMetamorphic(t *testing.T) {
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			live := batchesLive.Load()
 			ref, err := tc.mk(0)
 			if err != nil {
 				t.Fatal(err)
@@ -195,6 +196,9 @@ func TestBatchSizeMetamorphic(t *testing.T) {
 					}
 				}
 			}
+			if got := batchesLive.Load(); got != live {
+				t.Fatalf("%d batches drawn from the store were not recycled exactly once", got-live)
+			}
 			env.checkNoPinLeak(t)
 		})
 	}
@@ -203,14 +207,27 @@ func TestBatchSizeMetamorphic(t *testing.T) {
 // TestBatchSizeOneMatchesRowShim drives a native NextBatch implementation
 // at size 1 against the row-at-a-time shim over an identical operator:
 // the sequences must agree refill for refill — same record payload, same
-// order, same end of stream.
+// order, same end of stream. The native side is an exchange consumer
+// lending one-record packets; one producer over a sort keeps the order
+// deterministic.
 func TestBatchSizeOneMatchesRowShim(t *testing.T) {
 	env := newTestEnv(t, 512)
 	ints := env.makeInts(t, "ints", shuffled(300, 42)...)
 
 	mk := func() BatchIterator {
-		s := NewSort(env.Env, scanOf(t, ints), []record.SortSpec{{Field: 0}})
-		return s // Sort implements NextBatch natively
+		x, err := NewExchange(ExchangeConfig{
+			Schema:     intSchema,
+			Producers:  1,
+			Consumers:  1,
+			PacketSize: 1,
+			NewProducer: func(int) (Iterator, error) {
+				return NewSort(env.Env, scanOf(t, ints), []record.SortSpec{{Field: 0}}), nil
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return x.Consumer(0).(BatchIterator)
 	}
 	native := mk()
 	shim := &rowBatcher{Iterator: mk()}
@@ -221,6 +238,8 @@ func TestBatchSizeOneMatchesRowShim(t *testing.T) {
 		t.Fatal(err)
 	}
 	nb, sb := NewBatch(1), NewBatch(1)
+	defer Recycle(nb)
+	defer Recycle(sb)
 	for step := 0; ; step++ {
 		if err := native.NextBatch(nb); err != nil {
 			t.Fatalf("step %d: native: %v", step, err)
@@ -253,9 +272,9 @@ func TestBatchSizeOneMatchesRowShim(t *testing.T) {
 
 // TestExchangeConsumerNextBatchZeroAlloc is the batch-mode counterpart of
 // TestExchangeConsumerNextZeroAlloc: with a zero-alloc source, batch-mode
-// producers drawing from the hub's batch free list, and packet lending on
-// the consumer side, the steady-state NextBatch cycle must not allocate
-// at all — per *batch*, not just per record.
+// producers pulling through a batch from the store, and packet lending
+// on the consumer side, the steady-state NextBatch cycle must not
+// allocate at all — per *batch*, not just per record.
 func TestExchangeConsumerNextBatchZeroAlloc(t *testing.T) {
 	done := make(chan struct{})
 	x, err := NewExchange(ExchangeConfig{
@@ -281,6 +300,7 @@ func TestExchangeConsumerNextBatchZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := NewBatch(83)
+	defer Recycle(b)
 	pull := func() {
 		if err := bi.NextBatch(b); err != nil {
 			t.Fatalf("nextbatch: %v", err)
@@ -315,65 +335,78 @@ func TestExchangeConsumerNextBatchZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestBatchPoolRecycling proves the free list carries the steady state:
-// hammered from several goroutines, a warmed pool serves gets from
-// recycled batches, and the counters pair exactly with the traffic.
-func TestBatchPoolRecycling(t *testing.T) {
-	pool := NewBatchPool(8, 16)
-	const (
-		workers = 4
-		rounds  = 5000
-	)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rec := staticIntRec()
-			for i := 0; i < rounds; i++ {
-				b := pool.Get()
-				for !b.Full() {
-					b.Append(rec)
-				}
-				pool.Put(b)
-			}
-		}()
+// TestRecycleDropsRecordsAndReturnsLentPacket pins the store's hand-back
+// rules: a recycled batch keeps no record references anywhere in its
+// storage, and recycling a batch that serves a lent packet returns the
+// packet to its packet pool, cleared, so the pool's gets stay paired with
+// returns. No other goroutine draws from the store while this runs, so
+// the recycled batch can be inspected afterwards.
+func TestRecycleDropsRecordsAndReturnsLentPacket(t *testing.T) {
+	rec := staticIntRec()
+	b := NewBatch(8)
+	for !b.Full() {
+		b.Append(rec)
 	}
-	wg.Wait()
-	hits, misses, discards := pool.Stats()
-	if got := hits + misses; got != workers*rounds {
-		t.Fatalf("gets recorded %d, want %d", got, workers*rounds)
+	own := b.own[:cap(b.own)]
+	Recycle(b)
+	for i, r := range own {
+		if r.Data != nil {
+			t.Fatalf("recycled batch slot %d still references a record", i)
+		}
 	}
-	if hits == 0 {
-		t.Fatal("pool recorded no hits: batches are not being recycled")
+
+	pool := newPacketPool(1, 1, 1, 8)
+	p := pool.get(0)
+	for len(p.recs) < 8 {
+		p.recs = append(p.recs, rec)
 	}
-	// With 4 workers over an 8-slot list, misses are the cold start plus
-	// rare contention windows, never the steady state.
-	if misses*4 > hits {
-		t.Fatalf("misses %d vs hits %d: free list is not retaining batches", misses, hits)
+	b = NewBatch(8)
+	b.lend(p, pool)
+	Recycle(b)
+	if b.lent != nil || b.Len() != 0 {
+		t.Fatalf("recycled batch still serves a packet (%d records)", b.Len())
 	}
-	if discards > misses {
-		t.Fatalf("discards %d exceed misses %d: puts outnumber takes", discards, misses)
+	if len(pool.free) != 1 {
+		t.Fatalf("packet pool holds %d packets after recycle, want the lent one back", len(pool.free))
+	}
+	for i, r := range p.recs[:cap(p.recs)] {
+		if r.Data != nil {
+			t.Fatalf("returned packet slot %d still references a record", i)
+		}
+	}
+	if hits, misses, discards := pool.stats(); hits+misses != 1 || discards != 0 {
+		t.Fatalf("pool gets %d/%d discards %d, want exactly one get and no discard", hits, misses, discards)
 	}
 }
 
-// TestBatchExchangeRecycleShutdownStress mirrors
-// TestExchangeRecycleShutdownStress for the batch protocol: batch-mode
-// producers draw pull batches from the hub's free list and route whole
-// refills while one of two batch-draining consumers closes early
-// mid-stream. Under -race this proves the batch pool's exclusive-owner
-// rule and the consumer-side packet lending survive concurrent teardown;
-// afterwards every batch the producers took is accounted for and no pin
-// leaks.
-func TestBatchExchangeRecycleShutdownStress(t *testing.T) {
+// packetsHome reports whether every packet x's pool ever allocated is back
+// in its free list or was dropped: the pool-side half of the get/put
+// pairing, checked once every endpoint has closed.
+func packetsHome(x *Exchange) bool {
+	_, misses, discards := x.pool.stats()
+	return misses == int64(len(x.pool.free))+discards
+}
+
+// TestBatchRecycleShutdownStress drives batch-mode producers and
+// batch-draining consumers through both ways a query abandons an
+// exchange: one of two consumers closing early mid-stream, and Done
+// closing under running producers. Under -race this proves the
+// exclusive-owner rule of the batch store and the consumer-side packet
+// lending survive concurrent teardown; afterwards every batch drawn from
+// the store has been recycled exactly once, every packet is home, and no
+// pin leaks.
+func TestBatchRecycleShutdownStress(t *testing.T) {
 	env := newTestEnv(t, 2048)
-	const n = 2000
-	f := env.makeInts(t, "t", shuffled(n, 43)...)
+	f := env.makeInts(t, "t", shuffled(2000, 43)...)
 	iters := 30
 	if testing.Short() {
-		iters = 5
+		iters = 6
 	}
 	for iter := 0; iter < iters; iter++ {
+		cancel := iter%2 == 1
+		live := batchesLive.Load()
+		done := make(chan struct{})
+		var stop sync.Once
 		x, err := NewExchange(ExchangeConfig{
 			Schema:      intSchema,
 			Producers:   4,
@@ -382,6 +415,7 @@ func TestBatchExchangeRecycleShutdownStress(t *testing.T) {
 			FlowControl: true,
 			Slack:       1,
 			BatchSize:   5,
+			Done:        done,
 			NewProducer: func(g int) (Iterator, error) { return NewFileScan(f, nil, false) },
 		})
 		if err != nil {
@@ -400,32 +434,43 @@ func TestBatchExchangeRecycleShutdownStress(t *testing.T) {
 				}
 				src := AsBatch(c)
 				b := NewBatch(5)
-				// Consumer 0 walks away mid-stream at a varying point;
-				// consumer 1 drains everything routed to it.
+				defer Recycle(b)
+				// Consumer 0 acts at a varying point mid-stream: it walks
+				// away, or it cancels the query and reads on to the end.
 				limit := -1
 				if ci == 0 {
 					limit = 5 * (iter%7 + 1)
 				}
 				got := 0
-				for limit < 0 || got < limit {
-					if err := src.NextBatch(b); err != nil {
+				for {
+					if limit >= 0 && got >= limit {
+						if !cancel {
+							break
+						}
+						stop.Do(func() { close(done) })
+					}
+					err := src.NextBatch(b)
+					if err != nil && !errors.Is(err, ErrCanceled) {
 						errs <- err
 						return
 					}
-					if b.Len() == 0 {
+					if err != nil || b.Len() == 0 {
 						break
 					}
 					got += b.Len()
 					b.Release()
 				}
-				b.Release()
-				errs <- c.Close()
+				if err := c.Close(); err != nil && !(cancel && errors.Is(err, ErrCanceled)) {
+					errs <- err
+					return
+				}
+				errs <- nil
 			}(ci, iter)
 		}
-		done := make(chan struct{})
-		go func() { wg.Wait(); close(done) }()
+		finished := make(chan struct{})
+		go func() { wg.Wait(); close(finished) }()
 		select {
-		case <-done:
+		case <-finished:
 		case <-time.After(20 * time.Second):
 			t.Fatalf("iter %d: shutdown hung", iter)
 		}
@@ -435,10 +480,11 @@ func TestBatchExchangeRecycleShutdownStress(t *testing.T) {
 				t.Fatalf("iter %d: %v", iter, err)
 			}
 		}
-		st := x.Stats()
-		// Every producer takes exactly one pull batch from the free list.
-		if got := st.BatchPoolHits + st.BatchPoolMisses; got != 4 {
-			t.Fatalf("iter %d: batch pool gets = %d, want 4 (one per producer)", iter, got)
+		if got := batchesLive.Load(); got != live {
+			t.Fatalf("iter %d: %d batches were not recycled exactly once", iter, got-live)
+		}
+		if !packetsHome(x) {
+			t.Fatalf("iter %d: exchange packets missing from the pool: %+v", iter, x.Stats())
 		}
 		env.checkNoPinLeak(t)
 	}

@@ -27,14 +27,13 @@ import (
 // goroutine uses its own endpoint from Consumer(i); each producer g
 // runs the subtree built by NewProducer(g).
 type Exchange struct {
-	cfg     ExchangeConfig
-	port    *port
-	pool    *packetPool // bounded free list recycling drained packets
-	batches *BatchPool  // producer pull batches (batch mode only, else nil)
-	xid     int64       // distinguishes this hub's trace tracks
-	start   sync.Once
-	err     atomic.Value // first async error (type error)
-	closed  int32        // consumers that have closed
+	cfg    ExchangeConfig
+	port   *port
+	pool   *packetPool // bounded free list recycling drained packets
+	xid    int64       // distinguishes this hub's trace tracks
+	start  sync.Once
+	err    atomic.Value // first async error (type error)
+	closed int32        // consumers that have closed
 
 	// Producer inputs that can block outside the exchange's control (see
 	// Interrupter), and whether they have been interrupted, with what.
@@ -93,10 +92,9 @@ type ExchangeConfig struct {
 
 	// BatchSize, when positive, runs the exchange in batch mode: each
 	// producer pulls its subtree through NextBatch refills of this size
-	// (drawn from a bounded batch free list) and routes whole batches,
-	// and consumer endpoints lend drained packets to their callers'
-	// batches wholesale — the packet's record slice is the batch. Zero
-	// keeps the per-record pull loop.
+	// and routes whole batches. Consumer endpoints lend drained packets
+	// to their callers' batches wholesale in either mode — the packet's
+	// record slice is the batch. Zero keeps the per-record pull loop.
 	BatchSize int
 
 	// FlowControl enables the back-pressure semaphore; Slack is its
@@ -131,11 +129,6 @@ type ExchangeConfig struct {
 	// merge iterator can consume each sorted producer stream individually
 	// (§4.4). Use ConsumerStreams to obtain the per-producer streams.
 	KeepStreams bool
-
-	// Pool, when set, runs producers on primed worker goroutines instead
-	// of forking fresh ones (§4.2's planned improvement). The pool must
-	// have at least Producers workers available.
-	Pool *WorkerPool
 
 	// Tracer, when set, records the exchange protocol as structured trace
 	// events: producer spawn, packet push/pop (connected by flow arrows),
@@ -179,9 +172,6 @@ func NewExchange(cfg ExchangeConfig) (*Exchange, error) {
 	if cfg.Inline && cfg.Producers != cfg.Consumers {
 		return nil, errState("exchange", "inline mode requires equal group sizes")
 	}
-	if cfg.Inline && cfg.Pool != nil {
-		return nil, errState("exchange", "inline mode does not fork onto a pool")
-	}
 	if cfg.Inline && cfg.KeepStreams {
 		return nil, errState("exchange", "inline mode does not keep per-producer streams")
 	}
@@ -197,13 +187,6 @@ func NewExchange(cfg ExchangeConfig) (*Exchange, error) {
 	}
 	x.pool = newPacketPool(cfg.Producers, cfg.Consumers, cfg.Slack, cfg.PacketSize)
 	x.port = newPort(cfg.Producers, cfg.Consumers, cfg.KeepStreams, fc, cfg.Slack, x.pool)
-	if cfg.BatchSize > 0 {
-		// Each producer holds one pull batch at a time; size the free
-		// list with headroom so the shutdown race (a batch returned while
-		// another producer refills) never forces a steady-state miss.
-		x.batches = NewBatchPool(2*cfg.Producers, cfg.BatchSize)
-		x.batches.MeterTo(cfg.Meter)
-	}
 	return x, nil
 }
 
@@ -314,13 +297,6 @@ type ExchangeStats struct {
 	PoolHits     int64
 	PoolMisses   int64
 	PoolDiscards int64
-	// BatchPoolHits/BatchPoolMisses/BatchPoolDiscards report the batch
-	// free list producers pull through in batch mode; all zero in row
-	// mode. The same warmed-up shape applies: hits grow, misses and
-	// discards stay flat.
-	BatchPoolHits     int64
-	BatchPoolMisses   int64
-	BatchPoolDiscards int64
 	// ProducerStall is cumulative time producers spent blocked on the
 	// flow-control semaphore ("after a producer has inserted a new packet
 	// into the port, it must request the flow control semaphore", §4.1).
@@ -334,23 +310,16 @@ type ExchangeStats struct {
 // Stats returns a snapshot of the hub's counters.
 func (x *Exchange) Stats() ExchangeStats {
 	hits, misses, discards := x.pool.stats()
-	var bh, bm, bd int64
-	if x.batches != nil {
-		bh, bm, bd = x.batches.Stats()
-	}
 	return ExchangeStats{
-		BatchPoolHits:     bh,
-		BatchPoolMisses:   bm,
-		BatchPoolDiscards: bd,
-		Packets:           x.packetsSent.Load(),
-		Records:           x.recordsSent.Load(),
-		Forks:             x.forks.Load(),
-		SpawnTime:         time.Duration(x.spawnTime.Load()),
-		PoolHits:          hits,
-		PoolMisses:        misses,
-		PoolDiscards:      discards,
-		ProducerStall:     time.Duration(x.port.stats.producerStall.Load()),
-		ConsumerWait:      time.Duration(x.port.stats.consumerWait.Load()),
+		Packets:       x.packetsSent.Load(),
+		Records:       x.recordsSent.Load(),
+		Forks:         x.forks.Load(),
+		SpawnTime:     time.Duration(x.spawnTime.Load()),
+		PoolHits:      hits,
+		PoolMisses:    misses,
+		PoolDiscards:  discards,
+		ProducerStall: time.Duration(x.port.stats.producerStall.Load()),
+		ConsumerWait:  time.Duration(x.port.stats.consumerWait.Load()),
 	}
 }
 
@@ -407,14 +376,7 @@ func (x *Exchange) ensureStarted() {
 			mtk = x.cfg.Tracer.NewTrack(fmt.Sprintf("x%d.master", x.xid))
 		}
 		begin := time.Now()
-		switch {
-		case x.cfg.Pool != nil:
-			for g := 0; g < x.cfg.Producers; g++ {
-				g := g
-				mtk.Instant1("exchange", "submit", "producer", int64(g))
-				x.cfg.Pool.Submit(x.labeled(func() { x.producerLoop(g) }))
-			}
-		case x.cfg.Fork == ForkTree:
+		if x.cfg.Fork == ForkTree {
 			ids := make([]int, x.cfg.Producers)
 			for i := range ids {
 				ids[i] = i
@@ -423,7 +385,7 @@ func (x *Exchange) ensureStarted() {
 			// Labels set on the tree root propagate to every goroutine the
 			// tree forks below it.
 			go x.labeled(func() { x.spawnTree(ids) })()
-		default: // ForkCentral
+		} else { // ForkCentral
 			for g := 0; g < x.cfg.Producers; g++ {
 				g := g
 				x.forkCall(mtk)
@@ -437,9 +399,7 @@ func (x *Exchange) ensureStarted() {
 
 // labeled wraps a producer entry point with the query's pprof labels
 // (query_id, op) via pprof.Do, so /debug/pprof profiles segment producer
-// CPU by query. Without a QueryID it returns fn unchanged. Worker-pool
-// goroutines outlive the query, so the labels are scoped to the wrapped
-// call rather than inherited from the spawner.
+// CPU by query. Without a QueryID it returns fn unchanged.
 func (x *Exchange) labeled(fn func()) func() {
 	if x.cfg.QueryID == "" {
 		return fn
@@ -548,13 +508,13 @@ func (x *Exchange) runProducer(g int, tk *trace.Track) {
 }
 
 // produceBatched is the batch-mode driver loop: the subtree is exhausted
-// through NextBatch refills drawn from the hub's batch free list, and
-// each refill is routed wholesale. Cancellation is polled once per batch
-// instead of once per record, which bounds post-cancel work to one batch.
+// through NextBatch refills of one batch from the store, and each refill
+// is routed wholesale. Cancellation is polled once per batch instead of
+// once per record, which bounds post-cancel work to one batch.
 func (x *Exchange) produceBatched(g int, input Iterator, out *outbox, tk *trace.Track) int64 {
 	src := AsBatch(input)
-	b := x.batches.Get()
-	defer x.batches.Put(b)
+	b := NewBatch(x.cfg.BatchSize)
+	defer Recycle(b)
 	var produced int64
 	for {
 		if x.cfg.Done != nil && x.canceled() {
@@ -624,9 +584,6 @@ type outbox struct {
 	part    expr.Partitioner
 	tk      *trace.Track // the owning goroutine's trace track (may be nil)
 
-	// Batch-mode scratch for routeBatch's whole-batch partition sweep.
-	datas [][]byte
-	parts []int
 	// rr marks the default (round-robin) partitioner: batch routing then
 	// deals each batch in contiguous per-consumer chunks — same balance,
 	// no per-record partition call. rrNext rotates the first-served
@@ -714,19 +671,12 @@ func (o *outbox) push(c int, eos bool) {
 	o.x.port.queues[c].push(p, o.tk)
 }
 
-// routeBatch places a whole pulled batch, amortising the per-record
-// dispatch of route: a single-consumer outbox appends the run into
-// packets wholesale, and a partitioned outbox evaluates the partitioning
-// support function over the whole batch in one PartitionBatch sweep
-// before distributing. Broadcast keeps the per-record path (each record
-// is shared across every consumer anyway).
+// routeBatch places a whole pulled batch: a single-consumer outbox
+// appends the run into packets wholesale, and round robin deals it in
+// chunks. Broadcast and partitioned outboxes route record by record.
 func (o *outbox) routeBatch(recs []Rec) {
 	switch {
-	case o.x.cfg.Broadcast:
-		for _, r := range recs {
-			o.route(r)
-		}
-	case o.part == nil: // single consumer: bulk append
+	case o.part == nil && !o.x.cfg.Broadcast: // single consumer: bulk append
 		o.bulkAppend(0, recs)
 	case o.rr:
 		// Round robin only balances load; dealing the batch in contiguous
@@ -744,23 +694,8 @@ func (o *outbox) routeBatch(recs []Rec) {
 		}
 		o.rrNext = (o.rrNext + extra) % nc
 	default:
-		o.datas = o.datas[:0]
 		for _, r := range recs {
-			o.datas = append(o.datas, r.Data)
-		}
-		if cap(o.parts) < len(recs) {
-			o.parts = make([]int, len(recs))
-		}
-		o.parts = o.parts[:len(recs)]
-		expr.PartitionBatch(o.part, o.datas, o.parts)
-		for i, r := range recs {
-			c := o.parts[i]
-			if c < 0 || c >= len(o.packets) {
-				o.x.setErr(fmt.Errorf("core: exchange: partition function returned %d of %d", c, len(o.packets)))
-				r.Unfix()
-				continue
-			}
-			o.add(c, r.WithoutDirty())
+			o.route(r)
 		}
 	}
 }

@@ -13,17 +13,8 @@ type Filter struct {
 	input Iterator
 	pred  expr.Predicate
 	open  bool
-
-	// Batch-mode state: the input batch being filtered, the cursor into
-	// it, and the scratch slices PredicateBatch evaluates over — one
-	// support-function sweep per input batch instead of one closure call
-	// per Next.
 	batch int
-	bin   BatchIterator
-	inb   *Batch
-	inpos int
-	datas [][]byte
-	keep  []bool
+	src   recSource
 }
 
 // NewFilter wraps input with the given predicate.
@@ -52,6 +43,7 @@ func (f *Filter) Open() error {
 	if err := f.input.Open(); err != nil {
 		return err
 	}
+	f.src = inputSource(f.input, f.batch)
 	f.open = true
 	return nil
 }
@@ -62,7 +54,7 @@ func (f *Filter) Next() (Rec, bool, error) {
 		return Rec{}, false, errState("filter", "next before open")
 	}
 	for {
-		r, ok, err := f.input.Next()
+		r, ok, err := f.src.next()
 		if err != nil || !ok {
 			return Rec{}, false, err
 		}
@@ -78,65 +70,9 @@ func (f *Filter) Next() (Rec, bool, error) {
 	}
 }
 
-// EnableBatch implements BatchConfigurable: NextBatch refills the input
-// batch with pulls of the given size.
+// EnableBatch implements BatchConfigurable: Next pulls the input
+// through batch refills of the given size.
 func (f *Filter) EnableBatch(size int) { f.batch = size }
-
-// NextBatch implements BatchIterator natively: it pulls whole input
-// batches, evaluates the predicate support function over each batch in
-// one PredicateBatch sweep, and compacts the qualifying records into b,
-// unfixing rejects immediately as the row path does.
-func (f *Filter) NextBatch(b *Batch) error {
-	if !f.open {
-		return errState("filter", "next before open")
-	}
-	b.Reset()
-	if f.bin == nil {
-		f.bin = AsBatch(f.input)
-		size := f.batch
-		if size <= 0 {
-			size = b.Target()
-		}
-		f.inb = NewBatch(size)
-	}
-	for {
-		for f.inpos < f.inb.Len() {
-			if b.Full() {
-				return nil
-			}
-			r := f.inb.Recs()[f.inpos]
-			if f.keep[f.inpos] {
-				b.Append(r)
-			} else {
-				r.Unfix()
-			}
-			f.inpos++
-		}
-		if err := f.bin.NextBatch(f.inb); err != nil {
-			f.inpos = 0
-			b.Release()
-			return err
-		}
-		f.inpos = 0
-		n := f.inb.Len()
-		if n == 0 {
-			return nil // end of stream; b may carry a final partial batch
-		}
-		f.datas = f.datas[:0]
-		for _, r := range f.inb.Recs() {
-			f.datas = append(f.datas, r.Data)
-		}
-		if cap(f.keep) < n {
-			f.keep = make([]bool, n)
-		}
-		f.keep = f.keep[:n]
-		if _, err := expr.PredicateBatch(f.pred, f.datas, f.keep); err != nil {
-			f.inb.Release()
-			b.Release()
-			return err
-		}
-	}
-}
 
 // Close implements Iterator.
 func (f *Filter) Close() error {
@@ -144,14 +80,8 @@ func (f *Filter) Close() error {
 		return errState("filter", "close before open")
 	}
 	f.open = false
-	if f.inb != nil {
-		// Release input records judged but not yet served.
-		for _, r := range f.inb.Recs()[f.inpos:] {
-			r.Unfix()
-		}
-		f.inb.Reset()
-		f.inpos = 0
-	}
+	f.src.release()
+	f.src = nil
 	return f.input.Close()
 }
 
@@ -210,6 +140,7 @@ func (p *Project) Open() error {
 		return err
 	}
 	p.w = w
+	p.src = inputSource(p.input, p.batch)
 	return nil
 }
 
@@ -218,7 +149,7 @@ func (p *Project) Next() (Rec, bool, error) {
 	if p.w == nil {
 		return Rec{}, false, errState("project", "next before open")
 	}
-	r, ok, err := p.input.Next()
+	r, ok, err := p.src.next()
 	if err != nil || !ok {
 		return Rec{}, false, err
 	}
@@ -238,54 +169,13 @@ func (p *Project) Next() (Rec, bool, error) {
 // EnableBatch implements BatchConfigurable.
 func (p *Project) EnableBatch(size int) { p.batch = size }
 
-// NextBatch implements BatchIterator: the projection still materialises
-// one output record per input record, but both the input pull and the
-// output delivery are amortised over whole batches.
-func (p *Project) NextBatch(b *Batch) error {
-	if p.w == nil {
-		return errState("project", "next before open")
-	}
-	b.Reset()
-	if p.src == nil {
-		p.src = inputSource(p.input, p.batch)
-	}
-	for !b.Full() {
-		r, ok, err := p.src.next()
-		if err != nil {
-			b.Release()
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		vals, err := p.proj(r.Data)
-		if err != nil {
-			r.Unfix()
-			p.src.release()
-			b.Release()
-			return err
-		}
-		out, err := p.w.Write(vals)
-		r.Unfix()
-		if err != nil {
-			p.src.release()
-			b.Release()
-			return err
-		}
-		b.Append(out)
-	}
-	return nil
-}
-
 // Close implements Iterator.
 func (p *Project) Close() error {
 	if p.w == nil {
 		return errState("project", "close before open")
 	}
-	if p.src != nil {
-		p.src.release()
-		p.src = nil
-	}
+	p.src.release()
+	p.src = nil
 	err := p.input.Close()
 	if derr := p.w.Dispose(); err == nil {
 		err = derr

@@ -17,10 +17,10 @@ import (
 )
 
 // ResourceMeter accumulates one query's resource usage across every
-// layer: buffer-pool fixes, device I/O, exchange and wire traffic,
-// batch-pool memory, rows streamed, CPU time. It is an alias for the
-// low-level meter type so the storage layer can account against it
-// without importing core. A nil meter disables accounting everywhere.
+// layer: buffer-pool fixes, device I/O, exchange and wire traffic, rows
+// streamed, CPU time. It is an alias for the low-level meter type so the
+// storage layer can account against it without importing core. A nil
+// meter disables accounting everywhere.
 type ResourceMeter = meter.Meter
 
 // ResourceSnapshot is the plain-value copy of a ResourceMeter (the wire

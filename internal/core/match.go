@@ -147,14 +147,6 @@ func (q *recQueue) pop() (Rec, bool) {
 	return r, true
 }
 
-// drainInto moves every queued record into b.
-func (q *recQueue) drainInto(b *Batch) {
-	for _, r := range q.recs[q.head:] {
-		b.Append(r)
-	}
-	q.recs, q.head = q.recs[:0], 0
-}
-
 // release unfixes every queued record and drops the array.
 func (q *recQueue) release() {
 	for _, r := range q.recs[q.head:] {

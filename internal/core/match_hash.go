@@ -191,47 +191,6 @@ func (h *HashMatch) Next() (Rec, bool, error) {
 	}
 }
 
-// NextBatch implements BatchIterator natively: queued outputs move into
-// the batch wholesale, and the probe loop keeps going until the batch
-// fills or both phases are exhausted.
-func (h *HashMatch) NextBatch(b *Batch) error {
-	if !h.open {
-		return errState("hashmatch", "next before open")
-	}
-	b.Reset()
-	for {
-		h.pending.drainInto(b)
-		if b.Full() {
-			return nil
-		}
-		if h.probing {
-			l, ok, err := h.probeSrc.next()
-			if err != nil {
-				b.Release()
-				return err
-			}
-			if !ok {
-				h.probing = false
-				continue
-			}
-			if err := h.probe(l); err != nil {
-				b.Release()
-				return err
-			}
-			continue
-		}
-		r, ok, err := h.trailNext()
-		if err != nil {
-			b.Release()
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		b.Append(r)
-	}
-}
-
 // probe handles one left record, queueing outputs on h.pending and
 // disposing of the left pin.
 func (h *HashMatch) probe(l Rec) error {

@@ -184,30 +184,6 @@ func (m *MergeMatch) step() (done bool, err error) {
 	}
 }
 
-// NextBatch implements BatchIterator natively: queued outputs move into
-// the batch wholesale, and group consumption keeps going until the batch
-// fills or both inputs are exhausted.
-func (m *MergeMatch) NextBatch(b *Batch) error {
-	if !m.open {
-		return errState("mergematch", "next before open")
-	}
-	b.Reset()
-	for {
-		m.pending.drainInto(b)
-		if b.Full() {
-			return nil
-		}
-		done, err := m.step()
-		if err != nil {
-			b.Release()
-			return err
-		}
-		if done {
-			return nil
-		}
-	}
-}
-
 // sameLeftKey reports whether data shares the current left group key.
 func (m *MergeMatch) sameKey(s *record.Schema, a []byte, ka record.Key, b []byte, kb record.Key) bool {
 	return record.CompareKeys(s, a, ka, s, b, kb) == 0

@@ -49,27 +49,6 @@ func (s *FileScan) Next() (Rec, bool, error) {
 	return r.WithoutDirty(), ok, err
 }
 
-// NextBatch implements BatchIterator natively: one call drives the
-// underlying storage scan for a whole run of records.
-func (s *FileScan) NextBatch(b *Batch) error {
-	if s.scan == nil {
-		return errState("filescan", "next before open")
-	}
-	b.Reset()
-	for !b.Full() {
-		r, ok, err := s.scan.Next()
-		if err != nil {
-			b.Release()
-			return err
-		}
-		if !ok {
-			break
-		}
-		b.Append(r.WithoutDirty())
-	}
-	return nil
-}
-
 // Close implements Iterator.
 func (s *FileScan) Close() error {
 	if s.scan == nil {
@@ -135,32 +114,6 @@ func (s *IndexScan) Next() (Rec, bool, error) {
 		return Rec{}, false, fmt.Errorf("core: indexscan: %w", err)
 	}
 	return r, true, nil
-}
-
-// NextBatch implements BatchIterator natively: one call walks the B-tree
-// cursor and resolves a whole run of RIDs.
-func (s *IndexScan) NextBatch(b *Batch) error {
-	if s.cur == nil {
-		return errState("indexscan", "next before open")
-	}
-	b.Reset()
-	for !b.Full() {
-		_, rid, ok, err := s.cur.Next()
-		if err != nil {
-			b.Release()
-			return err
-		}
-		if !ok {
-			break
-		}
-		r, err := s.f.Fetch(rid)
-		if err != nil {
-			b.Release()
-			return fmt.Errorf("core: indexscan: %w", err)
-		}
-		b.Append(r)
-	}
-	return nil
 }
 
 // Close implements Iterator.

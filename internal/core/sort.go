@@ -356,27 +356,6 @@ func (s *Sort) Next() (Rec, bool, error) {
 	return s.merge.next()
 }
 
-// NextBatch implements BatchIterator natively: one call serves a whole
-// run of records from the final merge.
-func (s *Sort) NextBatch(b *Batch) error {
-	if !s.open {
-		return errState("sort", "next before open")
-	}
-	b.Reset()
-	for !b.Full() {
-		r, ok, err := s.merge.next()
-		if err != nil {
-			b.Release()
-			return err
-		}
-		if !ok {
-			break
-		}
-		b.Append(r)
-	}
-	return nil
-}
-
 // Close implements Iterator.
 func (s *Sort) Close() error {
 	if s.openFailed {
@@ -492,10 +471,10 @@ func (m *runMerge) close() {
 // is a merge network above an exchange operator that keeps producer
 // streams separate.
 type Merge struct {
-	inputs []Iterator
-	cmp    expr.KeyCompare
-	h      mergeHeap
-	open   bool
+	inputs     []Iterator
+	cmp        expr.KeyCompare
+	h          mergeHeap
+	open       bool
 	openFailed bool // Open ran and failed: next Close is a no-op
 }
 

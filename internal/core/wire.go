@@ -279,17 +279,17 @@ func (s *WireSender) send() error {
 // resumed stream already delivered), stages every other record image,
 // closes it, and ends the stream with an EOS frame — an error-EOS frame
 // when the subtree failed. it is pulled through NextBatch refills of
-// batch records (0: DefaultBatchSize), and every pin is released exactly
-// once, after its image is copied. The returned error is the local
-// failure: the subtree's (already reported to the peer), or a transport
-// error, after which no EOS is sent and the receiver sees a broken
-// stream.
-func SendWire(s *WireSender, it Iterator, batch int, skip int64) error {
+// DefaultBatchSize records, and every pin is released exactly once,
+// after its image is copied. The returned error is the local failure:
+// the subtree's (already reported to the peer), or a transport error,
+// after which no EOS is sent and the receiver sees a broken stream.
+func SendWire(s *WireSender, it Iterator, skip int64) error {
 	if err := it.Open(); err != nil {
 		_ = s.CloseEOS(err.Error())
 		return err
 	}
-	src, b := AsBatch(it), NewBatch(batch)
+	src, b := AsBatch(it), NewBatch(DefaultBatchSize)
+	defer Recycle(b)
 	var runErr, wireErr error
 	for wireErr == nil {
 		if runErr = src.NextBatch(b); runErr != nil || b.Len() == 0 {

@@ -57,7 +57,7 @@ func wireExchange(t testing.TB, dst *Env, cfg ExchangeConfig, packet int, wrap f
 		go func(g int, conn net.Conn) {
 			defer wg.Done()
 			defer conn.Close()
-			errs[g] = SendWire(NewWireSender(conn, packet), in, 0, 0)
+			errs[g] = SendWire(NewWireSender(conn, packet), in, 0)
 		}(g, client)
 	}
 	cfg.Schema = intSchema

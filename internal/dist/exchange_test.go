@@ -11,8 +11,8 @@ import (
 	"repro/internal/plan"
 )
 
-// bindBatch is bind with the batch protocol on both sides of the wire:
-// the coordinator's build and the dispatched fragments.
+// bindBatch is bind with the coordinator's build in batch mode; the
+// dispatched fragments always run the batch protocol.
 func bindBatch(t testing.TB, c *Coordinator, db *distDB, queryID, script string, batch int) (core.Iterator, *Summary) {
 	t.Helper()
 	tpl, err := plan.Compile(script)
@@ -23,13 +23,12 @@ func bindBatch(t testing.TB, c *Coordinator, db *distDB, queryID, script string,
 	it, _, err := plan.BuildWith(db.env, db.cat, tpl.Root(), plan.BuildOptions{
 		BatchSize: batch,
 		Remote: c.Binder(BindRequest{
-			QueryID:   queryID,
-			Source:    tpl.Source(),
-			Root:      tpl.Root(),
-			BatchSize: batch,
-			Env:       db.env,
-			Cat:       db.cat,
-			Summary:   sum,
+			QueryID: queryID,
+			Source:  tpl.Source(),
+			Root:    tpl.Root(),
+			Env:     db.env,
+			Cat:     db.cat,
+			Summary: sum,
 		}),
 	})
 	if err != nil {

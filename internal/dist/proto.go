@@ -50,9 +50,6 @@ type FragmentSpec struct {
 	// Skip is the number of leading records the worker must produce and
 	// discard before streaming — the skip-replay resume point.
 	Skip int64 `json:"skip"`
-	// BatchSize, when positive, builds and pulls the fragment under the
-	// batch-at-a-time protocol, mirroring the coordinator's own build.
-	BatchSize int `json:"batch_size,omitempty"`
 	// Endpoint is the coordinator's data-plane TCP address the worker
 	// must dial and stream frames to.
 	Endpoint string `json:"endpoint"`

@@ -27,8 +27,6 @@ type BindRequest struct {
 	// CatalogVersion travels in every dispatch; workers on a different
 	// catalog epoch reject it.
 	CatalogVersion string
-	// BatchSize mirrors BuildOptions.BatchSize into dispatched fragments.
-	BatchSize int
 	// Env and Cat build probe instances (fragment schemas) and
 	// materialise arriving records.
 	Env *core.Env
@@ -323,7 +321,6 @@ func (f *fragment) attempt(attempt int, skip int64) (err error, retryable bool) 
 		Producer:       f.g,
 		Attempt:        attempt,
 		Skip:           skip,
-		BatchSize:      f.req.BatchSize,
 		Endpoint:       f.c.cfg.AdvertiseAddr,
 	}
 	if derr := f.c.dispatch(f.ctx, w.addr, spec); derr != nil {

@@ -216,12 +216,12 @@ func (w *Worker) runFragment(tpl *plan.Template, spec FragmentSpec) {
 	}
 	defer w.untrack(conn)
 	it, err := plan.BuildFragmentProducer(w.cfg.Env, w.cfg.Catalog, tpl.Root(), spec.Path, spec.Producer,
-		plan.BuildOptions{BatchSize: spec.BatchSize, QueryID: spec.QueryID, Metrics: w.cfg.Metrics})
+		plan.BuildOptions{BatchSize: core.DefaultBatchSize, QueryID: spec.QueryID, Metrics: w.cfg.Metrics})
 	if err != nil {
 		err = fmt.Errorf("build: %w", err)
 		_ = s.CloseEOS(err.Error())
 	} else {
-		err = core.SendWire(s, it, spec.BatchSize, spec.Skip)
+		err = core.SendWire(s, it, spec.Skip)
 	}
 	_, bytes := s.Stats()
 	w.m.wireSent.Add(bytes)

@@ -1,7 +1,7 @@
 // Package meter provides per-query resource accounting. A Meter is a
 // bundle of atomic counters attributed to exactly one query: every layer
 // the query touches — buffer pool, device I/O, exchange ports, wire
-// packets, batch pools, the row stream — adds into the query's meter at
+// packets, the row stream — adds into the query's meter at
 // the same points it already bumps its process-global counters.
 //
 // The package sits below storage in the dependency order (it imports only
@@ -44,11 +44,6 @@ type Meter struct {
 	// Wire traffic received (frames of record images from remote producers).
 	WirePackets atomic.Int64
 	WireBytes   atomic.Int64
-
-	// Batch-pool memory: live bytes currently allocated to this query's
-	// batches, and the high-water mark over the query's lifetime.
-	BatchLiveBytes      atomic.Int64
-	BatchHighWaterBytes atomic.Int64
 
 	// Rows and bytes streamed to the client.
 	RowsStreamed  atomic.Int64
@@ -115,30 +110,6 @@ func (m *Meter) WireRecv(bytes int) {
 	m.WireBytes.Add(int64(bytes))
 }
 
-// BatchAlloc records bytes newly allocated to this query's batches and
-// advances the high-water mark.
-func (m *Meter) BatchAlloc(bytes int64) {
-	if m == nil {
-		return
-	}
-	live := m.BatchLiveBytes.Add(bytes)
-	for {
-		hw := m.BatchHighWaterBytes.Load()
-		if live <= hw || m.BatchHighWaterBytes.CompareAndSwap(hw, live) {
-			return
-		}
-	}
-}
-
-// BatchFree records bytes released back (batch discarded or pool torn
-// down).
-func (m *Meter) BatchFree(bytes int64) {
-	if m == nil {
-		return
-	}
-	m.BatchLiveBytes.Add(-bytes)
-}
-
 // StreamRow records one result row of the given encoded size streamed to
 // the client.
 func (m *Meter) StreamRow(bytes int) {
@@ -183,7 +154,6 @@ type Snapshot struct {
 	ExchangeRecords  int64   `json:"exchange_records"`
 	WirePackets      int64   `json:"wire_packets"`
 	WireBytes        int64   `json:"wire_bytes"`
-	BatchHighWater   int64   `json:"batch_pool_high_water_bytes"`
 	RowsStreamed     int64   `json:"rows_streamed"`
 	BytesStreamed    int64   `json:"bytes_streamed"`
 }
@@ -207,7 +177,6 @@ func (m *Meter) Snapshot() Snapshot {
 		ExchangeRecords:  m.XRecords.Load(),
 		WirePackets:      m.WirePackets.Load(),
 		WireBytes:        m.WireBytes.Load(),
-		BatchHighWater:   m.BatchHighWaterBytes.Load(),
 		RowsStreamed:     m.RowsStreamed.Load(),
 		BytesStreamed:    m.BytesStreamed.Load(),
 	}

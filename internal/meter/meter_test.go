@@ -16,9 +16,6 @@ func TestMeterCounts(t *testing.T) {
 	m.ExchangePush(5)
 	m.ExchangePush(0) // EOS marker: a packet with no records
 	m.WireRecv(120)
-	m.BatchAlloc(1024)
-	m.BatchAlloc(1024)
-	m.BatchFree(1024)
 	m.StreamRow(33)
 	m.SetCPUNanos(2_500_000_000)
 
@@ -38,27 +35,11 @@ func TestMeterCounts(t *testing.T) {
 	if s.WirePackets != 1 || s.WireBytes != 120 {
 		t.Errorf("wire = %d packets %d bytes, want 1/120", s.WirePackets, s.WireBytes)
 	}
-	if s.BatchHighWater != 2048 {
-		t.Errorf("batch high water = %d, want 2048", s.BatchHighWater)
-	}
 	if s.RowsStreamed != 1 || s.BytesStreamed != 33 {
 		t.Errorf("streamed = %d rows %d bytes, want 1/33", s.RowsStreamed, s.BytesStreamed)
 	}
 	if s.CPUSeconds != 2.5 {
 		t.Errorf("CPUSeconds = %v, want 2.5", s.CPUSeconds)
-	}
-}
-
-// TestHighWaterIsMax pins that the high-water mark keeps the maximum of
-// live bytes, not the last value: alloc/free churn must not erode it.
-func TestHighWaterIsMax(t *testing.T) {
-	m := &Meter{}
-	m.BatchAlloc(100)
-	m.BatchAlloc(100) // live 200, peak 200
-	m.BatchFree(100)  // live 100
-	m.BatchAlloc(50)  // live 150 < peak
-	if s := m.Snapshot(); s.BatchHighWater != 200 {
-		t.Errorf("high water = %d, want 200", s.BatchHighWater)
 	}
 }
 
@@ -73,8 +54,6 @@ func TestNilMeter(t *testing.T) {
 	m.DeviceWrite(1)
 	m.ExchangePush(1)
 	m.WireRecv(1)
-	m.BatchAlloc(1)
-	m.BatchFree(1)
 	m.StreamRow(1)
 	m.SetCPUNanos(1)
 	if s := m.Snapshot(); s != (Snapshot{}) {
@@ -99,8 +78,6 @@ func TestMeterHotPathZeroAlloc(t *testing.T) {
 		{"ExchangePush", func() { m.ExchangePush(83) }},
 		{"WireRecv", func() { m.WireRecv(512) }},
 		{"StreamRow", func() { m.StreamRow(40) }},
-		{"BatchAlloc", func() { m.BatchAlloc(4096) }},
-		{"BatchFree", func() { m.BatchFree(4096) }},
 		{"nil.FixHit", func() { nilM.FixHit() }},
 		{"nil.StreamRow", func() { nilM.StreamRow(40) }},
 	}
@@ -128,7 +105,6 @@ func TestSnapshotJSONSchema(t *testing.T) {
 		"device_reads", "device_writes", "device_read_bytes", "device_write_bytes",
 		"exchange_packets", "exchange_records",
 		"wire_packets", "wire_bytes",
-		"batch_pool_high_water_bytes",
 		"rows_streamed", "bytes_streamed",
 	}
 	if len(m) != len(want) {

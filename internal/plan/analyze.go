@@ -323,11 +323,11 @@ func (a *Analysis) String() string {
 		// polluted by concurrent queries), these numbers are this query's
 		// own.
 		r := a.Resources()
-		fmt.Fprintf(&sb, "resources: cpu=%v buf-fixes=%d (%dh/%dm) io=%dB (r%d/w%d) x-packets=%d x-records=%d wire=%dB batch-hw=%dB\n",
+		fmt.Fprintf(&sb, "resources: cpu=%v buf-fixes=%d (%dh/%dm) io=%dB (r%d/w%d) x-packets=%d x-records=%d wire=%dB\n",
 			time.Duration(r.CPUSeconds*1e9).Round(time.Microsecond),
 			r.BufferFixes, r.BufferHits, r.BufferMisses,
 			r.IOBytes(), r.DeviceReads, r.DeviceWrites,
-			r.ExchangePackets, r.ExchangeRecords, r.WireBytes, r.BatchHighWater)
+			r.ExchangePackets, r.ExchangeRecords, r.WireBytes)
 	}
 	return sb.String()
 }

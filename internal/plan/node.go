@@ -94,13 +94,13 @@ type Node struct {
 	SortBy []record.SortSpec
 
 	// Aggregate / Distinct / Match / Division keys.
-	GroupBy  record.Key
-	Aggs     []core.AggSpec
-	Algo     Algo
+	GroupBy record.Key
+	Aggs    []core.AggSpec
+	Algo    Algo
 	// AlgoSet records that the plan text named the algorithm explicitly
 	// (join hash ..., agg sort ...). The cost pass only overrides
 	// strategy choices the author left open.
-	AlgoSet bool
+	AlgoSet  bool
 	MatchOp  core.MatchOp
 	LeftKey  record.Key
 	RightKey record.Key
@@ -159,15 +159,15 @@ type XOpts struct {
 	// explicitly (producers=N); without it the cost pass may choose.
 	ProducersSet bool
 	Consumers    int
-	PacketSize  int
-	FlowControl bool
-	Slack       int
-	Broadcast   bool
-	Inline      bool
-	KeepStreams bool
-	MergeSort   []record.SortSpec // with KeepStreams: merge streams on this order
-	Fork        core.ForkScheme
-	ForkCost    time.Duration
+	PacketSize   int
+	FlowControl  bool
+	Slack        int
+	Broadcast    bool
+	Inline       bool
+	KeepStreams  bool
+	MergeSort    []record.SortSpec // with KeepStreams: merge streams on this order
+	Fork         core.ForkScheme
+	ForkCost     time.Duration
 	// Partition: "" (round robin), or hash keys.
 	HashKeys  record.Key
 	RangeCol  int
@@ -318,7 +318,7 @@ type BuildOptions struct {
 	QueryID string
 	// Meter, when non-nil, attributes the query's resource usage — every
 	// buffer fix the plan's scans and spills perform, device I/O, port
-	// and wire traffic, batch-pool memory — to one core.ResourceMeter.
+	// and wire traffic — to one core.ResourceMeter.
 	// The build derives a metered Env and metered file handles once, so
 	// the per-event cost at run time is a single atomic add.
 	Meter *core.ResourceMeter

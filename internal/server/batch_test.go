@@ -1,10 +1,15 @@
 package server
 
 import (
-	"net/http"
+	"bytes"
 	"sort"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/metrics"
+	"repro/internal/plan"
 )
 
 // splitRows returns the response's data lines (everything but the
@@ -17,68 +22,84 @@ func splitRows(res queryResult) []string {
 	return rows
 }
 
-// TestBatchExecution runs the same queries record-at-a-time and under
-// the batch protocol — via the per-request header and via the server
-// default — and requires identical result sets.
+// rowModeLines runs script in process, record-at-a-time, exactly as
+// plan.Run does, and renders the rows as the server's NDJSON lines,
+// sorted like splitRows.
+func rowModeLines(t *testing.T, w *world, script string) []string {
+	t.Helper()
+	tpl, err := plan.Compile(script)
+	if err != nil {
+		t.Fatal(err)
+	}
+	it, _, err := plan.BuildWith(w.env, w.cat, tpl.Root(), plan.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rw := newRowWriter(it.Schema())
+	rows, err := core.Collect(it)
+	if err != nil {
+		t.Fatalf("row mode %q: %v", script, err)
+	}
+	lines := make([]string, len(rows))
+	for i, vals := range rows {
+		lines[i] = strings.TrimSuffix(string(rw.row(vals)), "\n")
+	}
+	sort.Strings(lines)
+	return lines
+}
+
+// TestBatchExecution checks that the server, which always executes under
+// the batch protocol, streams exactly the rows an in-process
+// record-at-a-time run of the same plan produces.
 func TestBatchExecution(t *testing.T) {
-	_, _, ts, _ := newTestServer(t, nil)
-	_, _, tsBatch, _ := newTestServer(t, func(c *Config) { c.BatchSize = 5 })
+	_, w, ts, _ := newTestServer(t, nil)
 
 	scripts := []string{
 		"scan emp | filter dept = 2 | sort salary desc, id",
 		"pscan emp 4 | exchange producers=4 | agg group dept compute count",
 		"with d = scan dept\nscan emp | join hash d on dept = dno",
+		"scan emp | filter salary > 1200 | project id, name",
 	}
 	for _, script := range scripts {
-		row, err := postQuery(ts, script)
+		want := rowModeLines(t, w, script)
+		res, err := postQuery(ts, script)
 		if err != nil {
-			t.Fatalf("row %q: %v", script, err)
+			t.Fatalf("%q: %v", script, err)
 		}
-		if row.trailer.Status != "ok" {
-			t.Fatalf("row %q: trailer %+v", script, row.trailer)
+		if res.trailer.Status != "ok" {
+			t.Fatalf("%q: trailer %+v", script, res.trailer)
 		}
-		for name, res := range map[string]queryResult{
-			"header opt-in":  mustQuery(t, func() (queryResult, error) { return postQueryBatch(ts, script, "7") }),
-			"server default": mustQuery(t, func() (queryResult, error) { return postQuery(tsBatch, script) }),
-			"header size 1":  mustQuery(t, func() (queryResult, error) { return postQueryBatch(ts, script, "1") }),
-			"header opt-out": mustQuery(t, func() (queryResult, error) { return postQueryBatch(tsBatch, script, "0") }),
-		} {
-			if res.trailer.Status != "ok" {
-				t.Fatalf("%s %q: trailer %+v", name, script, res.trailer)
-			}
-			if res.rows != row.rows {
-				t.Errorf("%s %q: %d rows, row mode gave %d", name, script, res.rows, row.rows)
-			}
-			got, want := splitRows(res), splitRows(row)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s %q: row %d differs:\n got %s\nwant %s", name, script, i, got[i], want[i])
-				}
+		if res.rows != len(want) {
+			t.Fatalf("%q: served %d rows, row mode gave %d", script, res.rows, len(want))
+		}
+		got := splitRows(res)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%q: row %d differs:\n got %s\nwant %s", script, i, got[i], want[i])
 			}
 		}
 	}
 }
 
-func mustQuery(t *testing.T, f func() (queryResult, error)) queryResult {
+// producersLive reads the process-wide live exchange producer gauge.
+func producersLive(t testing.TB) bool {
 	t.Helper()
-	res, err := f()
-	if err != nil {
+	reg := metrics.NewRegistry()
+	core.RegisterMetrics(reg)
+	var buf bytes.Buffer
+	if err := reg.WriteText(&buf); err != nil {
 		t.Fatal(err)
 	}
-	return res
+	return !strings.Contains(buf.String(), "\nvolcano_exchange_producers_live 0\n")
 }
 
-// TestBatchHeaderValidation rejects malformed X-Volcano-Batch values
-// before admission.
-func TestBatchHeaderValidation(t *testing.T) {
-	_, _, ts, _ := newTestServer(t, nil)
-	for _, bad := range []string{"-1", "x", "1.5"} {
-		res, err := postQueryBatch(ts, "scan emp", bad)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.status != http.StatusBadRequest {
-			t.Errorf("X-Volcano-Batch=%q: status %d, want 400", bad, res.status)
-		}
+// checkQuiesced asserts the end state every abandoned, canceled or
+// drained query must leave behind: no exchange producer goroutine still
+// running and no frame pinned in the shared pool.
+func checkQuiesced(t *testing.T, w *world, when string) {
+	t.Helper()
+	waitFor(t, 10*time.Second, "exchange producers to exit "+when, func() bool { return !producersLive(t) })
+	if got := w.pool.Stats().CurrentlyFixedHint; got != 0 {
+		t.Fatalf("pinned frames %s: %d, want 0", when, got)
 	}
 }

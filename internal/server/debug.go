@@ -19,7 +19,6 @@ type queryStatus struct {
 	QueryID   string           `json:"query_id"`
 	State     string           `json:"state"`
 	Plan      string           `json:"plan"`
-	Batch     int              `json:"batch"`
 	CacheHit  bool             `json:"plan_cache_hit"`
 	StartedAt time.Time        `json:"started_at"`
 	ElapsedMs float64          `json:"elapsed_ms"`
@@ -46,7 +45,6 @@ func (q *queryRecord) status(drilldown bool) queryStatus {
 		QueryID:   q.id,
 		State:     stateName(q.state.Load()),
 		Plan:      q.source,
-		Batch:     q.batch,
 		CacheHit:  q.cacheHit,
 		StartedAt: q.started,
 		ElapsedMs: float64(time.Since(q.started)) / 1e6,

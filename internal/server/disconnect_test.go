@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"runtime"
@@ -57,9 +58,7 @@ func TestMidStreamDisconnectStress(t *testing.T) {
 		waitFor(t, 20*time.Second, "abandoned queries to tear down", func() bool {
 			return inFlight.Value() == 0
 		})
-		if got := w.pool.Stats().CurrentlyFixedHint; got != 0 {
-			t.Fatalf("wave %d: pinned frames after teardown: %d, want 0", wave, got)
-		}
+		checkQuiesced(t, w, fmt.Sprintf("after wave %d", wave))
 	}
 
 	if got := mr.Counter("volcano_server_canceled_total", "").Value(); got != waves*perWave {

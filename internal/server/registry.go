@@ -50,7 +50,6 @@ func stateName(s int32) string {
 type queryRecord struct {
 	id       string
 	source   string // normalized plan text
-	batch    int    // effective batch size (0 = record-at-a-time)
 	cacheHit bool
 	started  time.Time
 
@@ -74,7 +73,7 @@ type queryRecord struct {
 	analysis atomic.Pointer[plan.Analysis]
 
 	// meter is the query's resource accounting: every engine layer the
-	// build touches (buffer, device, exchange, batch pool, result stream)
+	// build touches (buffer, device, exchange, result stream)
 	// attributes into it. Embedded by value so registering a query costs
 	// one allocation, not two.
 	meter core.ResourceMeter

@@ -256,7 +256,7 @@ func TestQueryIDAssignment(t *testing.T) {
 
 // TestAnalyzeHeader pins the X-Volcano-Analyze contract: "1" embeds this
 // run's EXPLAIN ANALYZE text in the trailer, absence leaves it out, and
-// a malformed value is a 400 (mirroring X-Volcano-Batch).
+// a malformed value is a 400.
 func TestAnalyzeHeader(t *testing.T) {
 	_, _, ts, _ := newTestServer(t, nil)
 

@@ -74,14 +74,6 @@ type Config struct {
 	DisableCosting bool
 	// FlushEvery flushes the response stream every N rows (default 64).
 	FlushEvery int
-	// BatchSize, when positive, executes every query under the
-	// batch-at-a-time protocol with this batch size: plans are built with
-	// plan.BuildOptions.BatchSize and the result stream drains the root
-	// through NextBatch. A request may override it (either way) with the
-	// X-Volcano-Batch header: a positive integer selects that batch size,
-	// 0 forces record-at-a-time. Zero keeps record-at-a-time execution.
-	BatchSize int
-
 	// SlowQuery is the slow-query threshold: a completed query whose
 	// plan-to-trailer wall time meets or exceeds it is recorded in the
 	// structured slow-query log. Errored and canceled queries are
@@ -252,13 +244,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeReject(w, http.StatusBadRequest, id, err.Error(), time.Since(start), nil)
 		return
 	}
-	batch, err := s.batchSize(r)
-	if err != nil {
-		s.m.rejParse.Inc()
-		writeReject(w, http.StatusBadRequest, id, err.Error(), time.Since(start), nil)
-		return
-	}
-
 	// Plan phase: resolve the script to a compiled template via the
 	// cache, then — unless costing is off — to the entry's costed
 	// derivation, whose tree has planner-chosen knobs and whose
@@ -282,7 +267,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	// The query now has identity, a plan, and a start time: it enters the
 	// active registry and stays visible on /debug/queries until done.
-	rec := &queryRecord{id: id, source: tpl.Source(), batch: batch, cacheHit: cacheHit, started: start, entry: entry}
+	rec := &queryRecord{id: id, source: tpl.Source(), cacheHit: cacheHit, started: start, entry: entry}
 	rec.planNs.Store(int64(planDur))
 	if err := s.reg.add(rec); err != nil {
 		s.m.rejDuplicate.Inc()
@@ -337,29 +322,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// worker pools re-label themselves (core.Exchange does that from
 	// BuildOptions.QueryID).
 	pprof.Do(qctx, pprof.Labels("query_id", rec.id, "op", "query-handler"), func(ctx context.Context) {
-		s.execute(w, ctx, rec, entry, costed, tpl, batch, analyze)
+		s.execute(w, ctx, rec, entry, costed, tpl, analyze)
 	})
-}
-
-// batchSize resolves the effective batch size for one request: the
-// X-Volcano-Batch header when present (0 = force record-at-a-time),
-// otherwise the server default.
-func (s *Server) batchSize(r *http.Request) (int, error) {
-	h := r.Header.Get("X-Volcano-Batch")
-	if h == "" {
-		return s.cfg.BatchSize, nil
-	}
-	n, err := strconv.Atoi(h)
-	if err != nil || n < 0 {
-		return 0, fmt.Errorf("server: bad X-Volcano-Batch %q (want a non-negative integer)", h)
-	}
-	return n, nil
 }
 
 // analyzeRequested reads the X-Volcano-Analyze header: "1"/"true" embeds
 // the EXPLAIN ANALYZE report of this run in the trailing status object,
-// "0"/"false"/"" (absent) does not; anything else is a 400, mirroring
-// the X-Volcano-Batch contract.
+// "0"/"false"/"" (absent) does not; anything else is a 400.
 func analyzeRequested(r *http.Request) (bool, error) {
 	switch h := r.Header.Get("X-Volcano-Analyze"); h {
 	case "", "0", "false":
@@ -411,21 +380,22 @@ func (s *Server) compile(src string) (*cacheEntry, bool, error) {
 }
 
 // execute builds a fresh iterator tree from the template and streams its
-// rows. Past the 200 header, errors travel in the NDJSON trailer. A
-// positive batch runs the whole query under the batch-at-a-time protocol.
+// rows. Past the 200 header, errors travel in the NDJSON trailer. Every
+// query runs under the batch-at-a-time protocol at core.DefaultBatchSize,
+// one exchange packet per batch.
 //
 // Every build is analyzed: the instrumentation wrappers' OpStats are
 // atomic, so rec exposes live per-operator progress to /debug/queries
 // while the query runs, and the final snapshot feeds the slow-query log
 // (and, with X-Volcano-Analyze, the trailer) when it completes.
-func (s *Server) execute(w http.ResponseWriter, ctx context.Context, rec *queryRecord, entry *cacheEntry, costed *plan.CostedPlan, tpl *plan.Template, batch int, analyze bool) {
+func (s *Server) execute(w http.ResponseWriter, ctx context.Context, rec *queryRecord, entry *cacheEntry, costed *plan.CostedPlan, tpl *plan.Template, analyze bool) {
 	execStart := time.Now()
 	rec.state.Store(stateExecuting)
 	opts := plan.BuildOptions{
 		Analyze:   true,
 		Metrics:   s.cfg.Metrics,
 		Done:      ctx.Done(),
-		BatchSize: batch,
+		BatchSize: core.DefaultBatchSize,
 		QueryID:   rec.id,
 		Meter:     &rec.meter,
 	}
@@ -443,7 +413,6 @@ func (s *Server) execute(w http.ResponseWriter, ctx context.Context, rec *queryR
 			Source:         tpl.Source(),
 			Root:           tpl.Root(),
 			CatalogVersion: s.currentCatalogVersion(),
-			BatchSize:      batch,
 			Env:            s.cfg.Env,
 			Cat:            s.cfg.Catalog,
 			Meter:          &rec.meter,
@@ -517,47 +486,29 @@ func (s *Server) execute(w http.ResponseWriter, ctx context.Context, rec *queryR
 		}
 		return nil
 	}
-	if batch > 0 {
-		// Batch drain: one NextBatch refill per batch, pins released in one
-		// coalesced pass per batch.
-		src := core.AsBatch(it)
-		b := core.NewBatch(batch)
-	drain:
-		for ctx.Err() == nil {
-			if err := src.NextBatch(b); err != nil {
-				streamErr = err
-				break
-			}
-			if b.Len() == 0 {
-				break
-			}
-			for _, rec := range b.Recs() {
-				if err := emit(rec); err != nil {
-					streamErr = err
-					b.Release()
-					break drain
-				}
-			}
-			b.Release()
+	// One NextBatch refill per batch; the pins of a batch are released in
+	// one coalesced pass.
+	src := core.AsBatch(it)
+	b := core.NewBatch(core.DefaultBatchSize)
+drain:
+	for ctx.Err() == nil {
+		if err := src.NextBatch(b); err != nil {
+			streamErr = err
+			break
 		}
-	} else {
-		for ctx.Err() == nil {
-			rec, ok, err := it.Next()
-			if err != nil {
+		if b.Len() == 0 {
+			break
+		}
+		for _, rec := range b.Recs() {
+			if err := emit(rec); err != nil {
 				streamErr = err
-				break
-			}
-			if !ok {
-				break
-			}
-			err = emit(rec)
-			rec.Unfix()
-			if err != nil {
-				streamErr = err
-				break
+				break drain
 			}
 		}
+		b.Release()
 	}
+	b.Release()
+	core.Recycle(b)
 	closeErr := it.Close()
 	s.m.rowsOut.Add(rows)
 	rec.streamNs.Store(int64(time.Since(streamStart)))
@@ -670,7 +621,6 @@ func (s *Server) finishQuery(rec *queryRecord, outcome, errText string) {
 		Time:      time.Now(),
 		QueryID:   rec.id,
 		Plan:      rec.source,
-		Batch:     rec.batch,
 		CacheHit:  rec.cacheHit,
 		Outcome:   outcome,
 		Error:     errText,

@@ -174,19 +174,11 @@ type queryResult struct {
 // checking that every line is valid JSON and exactly one trailer
 // terminates the body.
 func postQuery(ts *httptest.Server, script string) (queryResult, error) {
-	return postQueryBatch(ts, script, "")
-}
-
-// postQueryBatch is postQuery with an X-Volcano-Batch header ("" = none).
-func postQueryBatch(ts *httptest.Server, script, batch string) (queryResult, error) {
 	req, err := http.NewRequest(http.MethodPost, ts.URL+"/query", strings.NewReader(script))
 	if err != nil {
 		return queryResult{}, err
 	}
 	req.Header.Set("Content-Type", "text/plain")
-	if batch != "" {
-		req.Header.Set("X-Volcano-Batch", batch)
-	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return queryResult{}, err
@@ -445,7 +437,7 @@ func TestParseErrorsReturn400(t *testing.T) {
 // histogram is non-empty, and a /metrics scrape taken in that state
 // parses cleanly and contains the volcano_server_* families.
 func TestSaturation429AndQueueWait(t *testing.T) {
-	s, _, ts, mr := newTestServer(t, func(c *Config) {
+	s, w, ts, mr := newTestServer(t, func(c *Config) {
 		c.MaxConcurrent = 1
 		c.MaxQueue = 1
 		c.QueueWait = 30 * time.Second
@@ -528,6 +520,7 @@ func TestSaturation429AndQueueWait(t *testing.T) {
 	if got := mr.Counter("volcano_server_canceled_total", "").Value(); got < 1 {
 		t.Errorf("canceled counter = %d, want >= 1 (query A was abandoned)", got)
 	}
+	checkQuiesced(t, w, "after cancel")
 }
 
 // TestDrainFinishesInFlight pins graceful shutdown: Drain stops admission
@@ -580,9 +573,7 @@ func TestDrainFinishesInFlight(t *testing.T) {
 	if err := <-drained; err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
-	if got := w.pool.Stats().CurrentlyFixedHint; got != 0 {
-		t.Errorf("pinned frames after drain: %d, want 0", got)
-	}
+	checkQuiesced(t, w, "after drain")
 }
 
 func contextWithTimeout(t testing.TB, d time.Duration) context.Context {

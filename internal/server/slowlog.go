@@ -21,7 +21,6 @@ type slowLogEntry struct {
 	Time      time.Time        `json:"ts"`
 	QueryID   string           `json:"query_id"`
 	Plan      string           `json:"plan"`
-	Batch     int              `json:"batch"`
 	CacheHit  bool             `json:"plan_cache_hit"`
 	Outcome   string           `json:"outcome"` // "ok", "error", or "canceled"
 	Error     string           `json:"error,omitempty"`
@@ -73,7 +72,6 @@ func (l *slowLog) record(e slowLogEntry) {
 		lg.LogAttrs(context.Background(), slog.LevelWarn, "slow query",
 			slog.String("query_id", e.QueryID),
 			slog.String("plan", e.Plan),
-			slog.Int("batch", e.Batch),
 			slog.Bool("plan_cache_hit", e.CacheHit),
 			slog.String("outcome", e.Outcome),
 			slog.String("error", e.Error),

@@ -14,7 +14,6 @@ import (
 	"io"
 	"os"
 	"sync"
-	"time"
 
 	"repro/internal/record"
 )
@@ -38,14 +37,13 @@ type Device interface {
 	// Allocated reports the number of currently allocated pages.
 	Allocated() int
 	// Virtual reports whether the device is a buffer-resident virtual
-	// device (true) or a simulated disk (false).
+	// device (true) or a disk (false).
 	Virtual() bool
 	// Close releases underlying resources.
 	Close() error
 }
 
-// Disk is a file-backed simulated disk device with a free-space bitmap and
-// optional simulated seek/transfer latency.
+// Disk is a file-backed disk device with a free-space bitmap.
 type Disk struct {
 	id       record.DeviceID
 	f        *os.File
@@ -54,19 +52,11 @@ type Disk struct {
 	// busy is the paper's "device busy" lock, held while seeking and
 	// transferring (§4.5).
 	busy sync.Mutex
-	// lastPage tracks head position for the seek-latency model.
-	lastPage uint32
 
 	// mapBusy is the paper's "map busy" lock protecting the bitmap.
 	mapBusy   sync.Mutex
 	bitmap    []uint64
 	allocated int
-
-	// SeekLatency is charged whenever an access is not sequential with the
-	// previous one; TransferLatency is charged per page moved. Zero means
-	// no simulation.
-	SeekLatency     time.Duration
-	TransferLatency time.Duration
 }
 
 // Superblock layout (page 0):
@@ -226,17 +216,6 @@ func (d *Disk) checkPage(page uint32) error {
 	return nil
 }
 
-// simulate charges the latency model for an access to page.
-func (d *Disk) simulate(page uint32) {
-	if d.SeekLatency > 0 && page != d.lastPage+1 && page != d.lastPage {
-		time.Sleep(d.SeekLatency)
-	}
-	if d.TransferLatency > 0 {
-		time.Sleep(d.TransferLatency)
-	}
-	d.lastPage = page
-}
-
 // ReadPage implements Device.
 func (d *Disk) ReadPage(page uint32, buf []byte) error {
 	if err := d.checkPage(page); err != nil {
@@ -249,7 +228,6 @@ func (d *Disk) ReadPage(page uint32, buf []byte) error {
 	// processes cannot interleave seeks (§4.5).
 	d.busy.Lock()
 	defer d.busy.Unlock()
-	d.simulate(page)
 	n, err := d.f.ReadAt(buf, int64(page)*PageSize)
 	if err != nil {
 		if err != io.EOF && err != io.ErrUnexpectedEOF {
@@ -274,7 +252,6 @@ func (d *Disk) WritePage(page uint32, data []byte) error {
 	}
 	d.busy.Lock()
 	defer d.busy.Unlock()
-	d.simulate(page)
 	if _, err := d.f.WriteAt(data, int64(page)*PageSize); err != nil {
 		return fmt.Errorf("device %d: write page %d: %w", d.id, page, err)
 	}
