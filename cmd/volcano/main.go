@@ -188,7 +188,6 @@ func run(o options) error {
 	var tracer *trace.Tracer
 	if o.tracePath != "" {
 		tracer = trace.New()
-		pool.SetTracer(tracer)
 	}
 	var mr *metrics.Registry
 	var msrv *metrics.Server

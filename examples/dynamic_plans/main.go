@@ -120,7 +120,7 @@ func main() {
 }
 
 func mustScan(f *file.File) core.Iterator {
-	s, err := core.NewFileScan(f, nil, false)
+	s, err := core.NewFileScan(f, nil)
 	must(err)
 	return s
 }

@@ -86,11 +86,11 @@ func main() {
 
 	// Serial hash division.
 	run("serial hash division", func() (core.Iterator, error) {
-		dv, err := core.NewFileScan(enrolled, nil, false)
+		dv, err := core.NewFileScan(enrolled, nil)
 		if err != nil {
 			return nil, err
 		}
-		ds, err := core.NewFileScan(required, nil, false)
+		ds, err := core.NewFileScan(required, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -102,7 +102,7 @@ func main() {
 	run("quotient partitioning (broadcast divisor)", func() (core.Iterator, error) {
 		xDiv, err := core.NewExchange(core.ExchangeConfig{
 			Schema: enrolledSchema, Producers: 1, Consumers: workers,
-			NewProducer: func(int) (core.Iterator, error) { return core.NewFileScan(enrolled, nil, false) },
+			NewProducer: func(int) (core.Iterator, error) { return core.NewFileScan(enrolled, nil) },
 			NewPartition: func(int) expr.Partitioner {
 				return expr.HashPartition(enrolledSchema, record.Key{0}, workers)
 			},
@@ -112,7 +112,7 @@ func main() {
 		}
 		xReq, err := core.NewExchange(core.ExchangeConfig{
 			Schema: coursesSchema, Producers: 1, Consumers: workers, Broadcast: true,
-			NewProducer: func(int) (core.Iterator, error) { return core.NewFileScan(required, nil, false) },
+			NewProducer: func(int) (core.Iterator, error) { return core.NewFileScan(required, nil) },
 		})
 		if err != nil {
 			return nil, err
@@ -136,7 +136,7 @@ func main() {
 	run("divisor partitioning (partial counts + agg)", func() (core.Iterator, error) {
 		xDiv, err := core.NewExchange(core.ExchangeConfig{
 			Schema: enrolledSchema, Producers: 1, Consumers: workers,
-			NewProducer: func(int) (core.Iterator, error) { return core.NewFileScan(enrolled, nil, false) },
+			NewProducer: func(int) (core.Iterator, error) { return core.NewFileScan(enrolled, nil) },
 			NewPartition: func(int) expr.Partitioner {
 				return expr.HashPartition(enrolledSchema, record.Key{1}, workers)
 			},
@@ -146,7 +146,7 @@ func main() {
 		}
 		xReq, err := core.NewExchange(core.ExchangeConfig{
 			Schema: coursesSchema, Producers: 1, Consumers: workers,
-			NewProducer: func(int) (core.Iterator, error) { return core.NewFileScan(required, nil, false) },
+			NewProducer: func(int) (core.Iterator, error) { return core.NewFileScan(required, nil) },
 			NewPartition: func(int) expr.Partitioner {
 				return expr.HashPartition(coursesSchema, record.Key{0}, workers)
 			},

@@ -62,9 +62,9 @@ func main() {
 
 	// --- Serial hash join ----------------------------------------------
 	serial := func() (int, time.Duration) {
-		os, err := core.NewFileScan(of, nil, false)
+		os, err := core.NewFileScan(of, nil)
 		must(err)
-		cs, err := core.NewFileScan(cf, nil, false)
+		cs, err := core.NewFileScan(cf, nil)
 		must(err)
 		j, err := core.NewHashMatch(env, core.MatchJoin, os, cs, record.Key{1}, record.Key{0})
 		must(err)
@@ -81,7 +81,7 @@ func main() {
 		xOrders, err := core.NewExchange(core.ExchangeConfig{
 			Schema: orders, Producers: 1, Consumers: workers,
 			FlowControl: true, Slack: 4,
-			NewProducer: func(int) (core.Iterator, error) { return core.NewFileScan(of, nil, false) },
+			NewProducer: func(int) (core.Iterator, error) { return core.NewFileScan(of, nil) },
 			NewPartition: func(int) expr.Partitioner {
 				return expr.HashPartition(orders, record.Key{1}, workers)
 			},
@@ -90,7 +90,7 @@ func main() {
 		xCust, err := core.NewExchange(core.ExchangeConfig{
 			Schema: customers, Producers: 1, Consumers: workers,
 			FlowControl: true, Slack: 4,
-			NewProducer: func(int) (core.Iterator, error) { return core.NewFileScan(cf, nil, false) },
+			NewProducer: func(int) (core.Iterator, error) { return core.NewFileScan(cf, nil) },
 			NewPartition: func(int) expr.Partitioner {
 				return expr.HashPartition(customers, record.Key{0}, workers)
 			},

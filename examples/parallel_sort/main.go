@@ -76,7 +76,7 @@ func main() {
 		Consumers: disks,
 		Inline:    true, // no extra processes; flow control obsolete
 		NewProducer: func(g int) (core.Iterator, error) {
-			return core.NewFileScan(inputs[g], nil, false)
+			return core.NewFileScan(inputs[g], nil)
 		},
 		NewPartition: func(int) expr.Partitioner {
 			return expr.RangePartition(schema, 0, cuts)
@@ -141,7 +141,7 @@ func main() {
 		KeepStreams: true,
 		NewProducer: func(g int) (core.Iterator, error) {
 			// Partitions are sorted files; no sort operator needed here.
-			return core.NewFileScan(outs[g], nil, false)
+			return core.NewFileScan(outs[g], nil)
 		},
 	})
 	must(err)

@@ -49,7 +49,7 @@ func main() {
 	}
 
 	// --- Serial query: scan | filter | project | sort ------------------
-	scan, err := core.NewFileScan(emp, nil, false)
+	scan, err := core.NewFileScan(emp, nil)
 	must(err)
 	flt, err := core.NewFilterExpr(scan, "dept = 3 AND salary > 3000.0", expr.Compiled)
 	must(err)
@@ -72,7 +72,7 @@ func main() {
 		Producers: 3,
 		Consumers: 1,
 		NewProducer: func(g int) (core.Iterator, error) {
-			s, err := core.NewFileScan(emp, nil, false)
+			s, err := core.NewFileScan(emp, nil)
 			if err != nil {
 				return nil, err
 			}

@@ -101,7 +101,7 @@ func AblationForkScheme(producers int, forkCost time.Duration) (*Ablation, error
 			Fork:      scheme,
 			ForkCost:  forkCost,
 			NewProducer: func(g int) (core.Iterator, error) {
-				return core.NewFileScan(files[g], nil, false)
+				return core.NewFileScan(files[g], nil)
 			},
 		})
 		if err != nil {
@@ -303,27 +303,27 @@ func AblationMatch(rows int) (*Ablation, error) {
 		return nil
 	}
 	if err := run("hash join", func() (core.Iterator, error) {
-		ls, _ := core.NewFileScan(l, nil, false)
-		rs, _ := core.NewFileScan(r, nil, false)
+		ls, _ := core.NewFileScan(l, nil)
+		rs, _ := core.NewFileScan(r, nil)
 		return core.NewHashMatch(w.Env, core.MatchJoin, ls, rs, record.Key{1}, record.Key{1})
 	}); err != nil {
 		return nil, err
 	}
 	if err := run("sort-merge join", func() (core.Iterator, error) {
-		ls, _ := core.NewFileScan(l, nil, false)
-		rs, _ := core.NewFileScan(r, nil, false)
+		ls, _ := core.NewFileScan(l, nil)
+		rs, _ := core.NewFileScan(r, nil)
 		return core.NewMergeMatchSorted(w.Env, core.MatchJoin, ls, rs, record.Key{1}, record.Key{1})
 	}); err != nil {
 		return nil, err
 	}
 	if err := run("hash dup-elim", func() (core.Iterator, error) {
-		ls, _ := core.NewFileScan(l, nil, false)
+		ls, _ := core.NewFileScan(l, nil)
 		return core.NewHashDistinct(w.Env, ls)
 	}); err != nil {
 		return nil, err
 	}
 	if err := run("sort dup-elim", func() (core.Iterator, error) {
-		ls, _ := core.NewFileScan(l, nil, false)
+		ls, _ := core.NewFileScan(l, nil)
 		return core.NewSortDistinct(w.Env, ls)
 	}); err != nil {
 		return nil, err
@@ -372,11 +372,11 @@ func AblationDivision(students, courses, workers int) (*Ablation, error) {
 				return nil, nil, err
 			}
 		}
-		dvs, err := core.NewFileScan(dv, nil, false)
+		dvs, err := core.NewFileScan(dv, nil)
 		if err != nil {
 			return nil, nil, err
 		}
-		dss, err := core.NewFileScan(ds, nil, false)
+		dss, err := core.NewFileScan(ds, nil)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -587,7 +587,7 @@ func AblationBufferLocking(records, workers int) (*Ablation, error) {
 			go func(g int) {
 				defer wg.Done()
 				for rep := 0; rep < 4; rep++ {
-					sc, err := core.NewFileScan(files[g], nil, false)
+					sc, err := core.NewFileScan(files[g], nil)
 					if err != nil {
 						errs[g] = err
 						return
@@ -749,7 +749,7 @@ func AblationParallelSort(records, producers int) (*Ablation, error) {
 		Producers: producers,
 		Consumers: 1,
 		NewProducer: func(g int) (core.Iterator, error) {
-			return core.NewFileScan(files[g], nil, false)
+			return core.NewFileScan(files[g], nil)
 		},
 	})
 	if err != nil {
@@ -785,7 +785,7 @@ func AblationParallelSort(records, producers int) (*Ablation, error) {
 		Consumers:   1,
 		KeepStreams: true,
 		NewProducer: func(g int) (core.Iterator, error) {
-			sc, err := core.NewFileScan(files2[g], nil, false)
+			sc, err := core.NewFileScan(files2[g], nil)
 			if err != nil {
 				return nil, err
 			}

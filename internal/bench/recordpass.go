@@ -41,9 +41,9 @@ type PassConfig struct {
 	// path stays untouched.
 	Analyze bool
 	// Tracer, when set, records the run as structured trace events —
-	// every exchange boundary's protocol, the instrumented sink, and any
-	// buffer-daemon activity — for Chrome-trace export. nil (the
-	// default) keeps the measured path untouched.
+	// every exchange boundary's protocol and the instrumented sink — for
+	// Chrome-trace export. nil (the default) keeps the measured path
+	// untouched.
 	Tracer *trace.Tracer
 	// Metrics, when set, exposes the run to a live scraper: the world's
 	// buffer pool registers its counters (replacing any previous pass's
@@ -90,9 +90,6 @@ func RunPass(cfg PassConfig) (PassResult, error) {
 	}
 	defer w.Close()
 
-	if cfg.Tracer.Enabled() {
-		w.Pool.SetTracer(cfg.Tracer)
-	}
 	if cfg.Metrics.Enabled() {
 		w.Pool.RegisterMetrics(cfg.Metrics)
 	}

@@ -71,7 +71,7 @@ func TestBatchSizeMetamorphic(t *testing.T) {
 		mk   func(size int) (Iterator, error)
 	}{
 		{"filescan", func(int) (Iterator, error) {
-			return NewFileScan(ints, nil, false)
+			return NewFileScan(ints, nil)
 		}},
 		{"filter", func(size int) (Iterator, error) {
 			f, err := NewFilterExpr(scanOf(t, ints), "v % 3 = 1", expr.Compiled)
@@ -153,7 +153,7 @@ func TestBatchSizeMetamorphic(t *testing.T) {
 				FlowControl: true,
 				Slack:       2,
 				BatchSize:   size,
-				NewProducer: func(g int) (Iterator, error) { return NewFileScan(ints, nil, false) },
+				NewProducer: func(g int) (Iterator, error) { return NewFileScan(ints, nil) },
 			})
 			if err != nil {
 				return nil, err
@@ -416,7 +416,7 @@ func TestBatchRecycleShutdownStress(t *testing.T) {
 			Slack:       1,
 			BatchSize:   5,
 			Done:        done,
-			NewProducer: func(g int) (Iterator, error) { return NewFileScan(f, nil, false) },
+			NewProducer: func(g int) (Iterator, error) { return NewFileScan(f, nil) },
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -25,7 +25,7 @@ func TestBushyParallelismSortMergeJoin(t *testing.T) {
 		Producers: 1,
 		Consumers: 1,
 		NewProducer: func(int) (Iterator, error) {
-			sc, err := NewFileScan(left, nil, false)
+			sc, err := NewFileScan(left, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -40,7 +40,7 @@ func TestBushyParallelismSortMergeJoin(t *testing.T) {
 		Producers: 1,
 		Consumers: 1,
 		NewProducer: func(int) (Iterator, error) {
-			sc, err := NewFileScan(right, nil, false)
+			sc, err := NewFileScan(right, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -107,7 +107,7 @@ func TestBushyBothJoinInputsIntermediate(t *testing.T) {
 			Producers: 2,
 			Consumers: 1,
 			NewProducer: func(g int) (Iterator, error) {
-				sc, err := NewFileScan(base, nil, false)
+				sc, err := NewFileScan(base, nil)
 				if err != nil {
 					return nil, err
 				}

@@ -62,7 +62,7 @@ func TestExchangeDoneCancelsEndlessProducers(t *testing.T) {
 		Slack:       1,
 		Done:        done,
 		NewProducer: func(g int) (Iterator, error) {
-			mk := func() (Iterator, error) { return NewFileScan(f, nil, false) }
+			mk := func() (Iterator, error) { return NewFileScan(f, nil) }
 			sc, err := mk()
 			if err != nil {
 				return nil, err
@@ -123,7 +123,7 @@ func TestExchangeDoneNilIsInert(t *testing.T) {
 		Producers: 2,
 		Consumers: 1,
 		NewProducer: func(g int) (Iterator, error) {
-			return NewFileScan(f, nil, false)
+			return NewFileScan(f, nil)
 		},
 	})
 	if err != nil {

@@ -32,8 +32,8 @@ type Exchange struct {
 	pool   *packetPool // bounded free list recycling drained packets
 	xid    int64       // distinguishes this hub's trace tracks
 	start  sync.Once
-	err    atomic.Value // first async error (type error)
-	closed int32        // consumers that have closed
+	err    atomic.Pointer[error] // first async error
+	closed int32                 // consumers that have closed
 
 	// Producer inputs that can block outside the exchange's control (see
 	// Interrupter), and whether they have been interrupted, with what.
@@ -99,6 +99,8 @@ type ExchangeConfig struct {
 
 	// FlowControl enables the back-pressure semaphore; Slack is its
 	// initial value (default 4): how many packets producers may get ahead.
+	// With KeepStreams each producer stream has its own semaphore, so a
+	// merge waiting on one stream is never starved by another's backlog.
 	FlowControl bool
 	Slack       int
 
@@ -323,15 +325,18 @@ func (x *Exchange) Stats() ExchangeStats {
 	}
 }
 
+// setErr records err unless an earlier error is already recorded. The
+// errors producers report differ in concrete type, so they are stored
+// behind a pointer: atomic.Value would panic on the second type.
 func (x *Exchange) setErr(err error) {
 	if err != nil {
-		x.err.CompareAndSwap(nil, err)
+		x.err.CompareAndSwap(nil, &err)
 	}
 }
 
 func (x *Exchange) firstErr() error {
-	if e, ok := x.err.Load().(error); ok {
-		return e
+	if e := x.err.Load(); e != nil {
+		return *e
 	}
 	return nil
 }

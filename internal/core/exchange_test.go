@@ -1,6 +1,9 @@
 package core
 
 import (
+	"errors"
+	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -71,7 +74,7 @@ func TestExchangeVerticalPipeline(t *testing.T) {
 		Producers: 1,
 		Consumers: 1,
 		NewProducer: func(int) (Iterator, error) {
-			return NewFileScan(f, nil, false)
+			return NewFileScan(f, nil)
 		},
 	})
 	if err != nil {
@@ -101,7 +104,7 @@ func TestExchangeIntraOperatorParallelism(t *testing.T) {
 		Producers: 4,
 		Consumers: 1,
 		NewProducer: func(g int) (Iterator, error) {
-			return NewFileScan(files[g], nil, false)
+			return NewFileScan(files[g], nil)
 		},
 	})
 	if err != nil {
@@ -133,7 +136,7 @@ func TestExchangeHashPartitioning(t *testing.T) {
 		Producers: 3,
 		Consumers: 3,
 		NewProducer: func(g int) (Iterator, error) {
-			return NewFileScan(files[g], nil, false)
+			return NewFileScan(files[g], nil)
 		},
 		NewPartition: func(int) expr.Partitioner {
 			return expr.HashPartition(intSchema, record.Key{0}, 3)
@@ -167,7 +170,7 @@ func TestExchangeRangePartitioning(t *testing.T) {
 		Producers: 1,
 		Consumers: 3,
 		NewProducer: func(int) (Iterator, error) {
-			return NewFileScan(f, nil, false)
+			return NewFileScan(f, nil)
 		},
 		NewPartition: func(int) expr.Partitioner {
 			return expr.RangePartition(intSchema, 0, []record.Value{record.Int(300), record.Int(600)})
@@ -201,7 +204,7 @@ func TestExchangeBroadcast(t *testing.T) {
 		Consumers: 3,
 		Broadcast: true,
 		NewProducer: func(int) (Iterator, error) {
-			return NewFileScan(f, nil, false)
+			return NewFileScan(f, nil)
 		},
 	})
 	if err != nil {
@@ -229,7 +232,7 @@ func TestExchangeFlowControlOnOff(t *testing.T) {
 			Slack:       2,
 			PacketSize:  16,
 			NewProducer: func(g int) (Iterator, error) {
-				fs, err := NewFileScan(f, nil, false)
+				fs, err := NewFileScan(f, nil)
 				if err != nil {
 					return nil, err
 				}
@@ -267,7 +270,7 @@ func TestExchangeMergeNetwork(t *testing.T) {
 		KeepStreams: true,
 		PacketSize:  7,
 		NewProducer: func(g int) (Iterator, error) {
-			fs, err := NewFileScan(files[g], nil, false)
+			fs, err := NewFileScan(files[g], nil)
 			if err != nil {
 				return nil, err
 			}
@@ -313,7 +316,7 @@ func TestExchangeInlineMode(t *testing.T) {
 		Consumers: 3,
 		Inline:    true,
 		NewProducer: func(g int) (Iterator, error) {
-			return NewFileScan(files[g], nil, false)
+			return NewFileScan(files[g], nil)
 		},
 		NewPartition: func(int) expr.Partitioner {
 			return expr.HashPartition(intSchema, record.Key{0}, 3)
@@ -354,7 +357,7 @@ func TestExchangePaperExampleTopology(t *testing.T) {
 		Producers: 4,
 		Consumers: 3,
 		NewProducer: func(g int) (Iterator, error) {
-			return NewFileScan(files[g], nil, false) // operator D
+			return NewFileScan(files[g], nil) // operator D
 		},
 		NewPartition: func(int) expr.Partitioner {
 			return expr.HashPartition(intSchema, record.Key{0}, 3)
@@ -396,7 +399,7 @@ func TestExchangeForkSchemesAndPool(t *testing.T) {
 			Producers: 8,
 			Consumers: 1,
 			NewProducer: func(g int) (Iterator, error) {
-				return NewFileScan(files[g], nil, false)
+				return NewFileScan(files[g], nil)
 			},
 		}
 		cfgMod(&cfg)
@@ -431,7 +434,7 @@ func TestExchangeForkCostModel(t *testing.T) {
 			Fork:      scheme,
 			ForkCost:  2 * time.Millisecond,
 			NewProducer: func(g int) (Iterator, error) {
-				return NewFileScan(files[g], nil, false)
+				return NewFileScan(files[g], nil)
 			},
 		}
 	}
@@ -463,7 +466,7 @@ func TestExchangePacketSizes(t *testing.T) {
 			Consumers:  1,
 			PacketSize: ps,
 			NewProducer: func(int) (Iterator, error) {
-				return NewFileScan(f, nil, false)
+				return NewFileScan(f, nil)
 			},
 		})
 		if err != nil {
@@ -532,7 +535,7 @@ func TestExchangeErrorPropagation(t *testing.T) {
 		Producers: 1,
 		Consumers: 1,
 		NewProducer: func(int) (Iterator, error) {
-			fs, err := NewFileScan(f, nil, false)
+			fs, err := NewFileScan(f, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -560,7 +563,7 @@ func TestExchangeProducerBuildError(t *testing.T) {
 				return nil, errState("test", "boom")
 			}
 			f := env.makeInts(t, "ok", 1, 2, 3)
-			return NewFileScan(f, nil, false)
+			return NewFileScan(f, nil)
 		},
 	})
 	if err != nil {
@@ -586,7 +589,7 @@ func TestExchangeEarlyConsumerClose(t *testing.T) {
 		Slack:       2,
 		PacketSize:  8,
 		NewProducer: func(g int) (Iterator, error) {
-			return NewFileScan(f, nil, false)
+			return NewFileScan(f, nil)
 		},
 	})
 	if err != nil {
@@ -617,7 +620,7 @@ func TestExchangeSchemaMismatchDetected(t *testing.T) {
 		Producers: 1,
 		Consumers: 1,
 		NewProducer: func(int) (Iterator, error) {
-			return NewFileScan(f, nil, false)
+			return NewFileScan(f, nil)
 		},
 	})
 	if err != nil {
@@ -634,7 +637,7 @@ func TestExchangeProtocolErrors(t *testing.T) {
 	f := env.makeInts(t, "t", 1)
 	x, _ := NewExchange(ExchangeConfig{
 		Schema: intSchema, Producers: 1, Consumers: 1,
-		NewProducer: func(int) (Iterator, error) { return NewFileScan(f, nil, false) },
+		NewProducer: func(int) (Iterator, error) { return NewFileScan(f, nil) },
 	})
 	c := x.Consumer(0)
 	if _, _, err := c.Next(); err == nil {
@@ -654,5 +657,30 @@ func TestExchangeProtocolErrors(t *testing.T) {
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestExchangeProducerErrorsOfDifferentTypes fails two producers with
+// errors of different concrete types. The exchange keeps the first and
+// surfaces it; recording the second must not panic.
+func TestExchangeProducerErrorsOfDifferentTypes(t *testing.T) {
+	errA := errors.New("producer 0 failed")
+	errB := fmt.Errorf("producer 1 failed: %w", io.ErrUnexpectedEOF)
+	x, err := NewExchange(ExchangeConfig{
+		Schema:    intSchema,
+		Producers: 2,
+		Consumers: 1,
+		NewProducer: func(g int) (Iterator, error) {
+			if g == 0 {
+				return nil, errA
+			}
+			return nil, errB
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Collect(x.Consumer(0)); !errors.Is(err, errA) && !errors.Is(err, errB) {
+		t.Fatalf("err = %v, want one of the producers' errors", err)
 	}
 }

@@ -11,8 +11,8 @@ import (
 // A port is the shared data structure the exchange operator creates for
 // synchronisation and data exchange between a producer group and a
 // consumer group (paper, §4.1). It holds one queue per consumer; producers
-// deposit packets of records into consumer queues, and an optional flow
-// control semaphore per queue bounds how far producers may run ahead.
+// deposit packets of records into consumer queues, and optional flow
+// control semaphores bound how far producers may run ahead.
 
 // packet is the unit of data exchange: up to PacketSize NEXT_RECORD
 // structures, an end-of-stream tag, and (in this implementation) an error
@@ -99,10 +99,14 @@ type queue struct {
 	eosByProd []bool // merge mode: per-producer end-of-stream
 	closed    bool   // consumer abandoned the queue
 
-	// fc is the flow control semaphore: producers take a token after each
-	// insertion, consumers return one after each removal. Initialised with
-	// `slack` tokens; nil when flow control is disabled.
-	fc chan struct{}
+	// fc holds the flow control semaphores: producers take a token after
+	// each insertion, consumers return one after each removal. Each starts
+	// with `slack` tokens; nil when flow control is disabled. Normal mode
+	// has one semaphore shared by all producers. Merge mode has one per
+	// producer stream: a merge consumer waiting on one stream must never
+	// starve because another stream's queued packets hold every token.
+	fc    []chan struct{}
+	fcOne [1]chan struct{} // fc's backing array in normal mode: no allocation
 }
 
 func newQueue(producers int, keepStreams bool, flowControl bool, slack int, ps *portStats, pool *packetPool) *queue {
@@ -116,28 +120,52 @@ func newQueue(producers int, keepStreams bool, flowControl bool, slack int, ps *
 		if slack < 1 {
 			slack = 1
 		}
-		q.fc = make(chan struct{}, slack)
-		for i := 0; i < slack; i++ {
-			q.fc <- struct{}{}
+		q.fc = q.fcOne[:]
+		if keepStreams {
+			q.fc = make([]chan struct{}, producers)
+		}
+		for i := range q.fc {
+			q.fc[i] = make(chan struct{}, slack)
+			for j := 0; j < slack; j++ {
+				q.fc[i] <- struct{}{}
+			}
 		}
 	}
 	return q
 }
 
+// sem returns the flow control semaphore a producer's packets draw on.
+func (q *queue) sem(producer int) chan struct{} {
+	if len(q.fc) == 1 {
+		return q.fc[0]
+	}
+	return q.fc[producer]
+}
+
+// giveToken returns the token a removed packet held. Call it before the
+// packet is recycled: its producer field is read here.
+func (q *queue) giveToken(p *packet) {
+	if q.fc != nil && !p.eos {
+		q.sem(p.producer) <- struct{}{}
+	}
+}
+
 // push inserts a packet and signals the consumer; with flow control it
-// then acquires a semaphore token, blocking if the producers are already
-// `slack` packets ahead ("after a producer has inserted a new packet into
-// the port, it must request the flow control semaphore", §4.1). tk is the
-// pushing producer's trace track (nil when tracing is off).
+// then acquires a token from the packet's semaphore, blocking if its
+// producers are already `slack` packets ahead ("after a producer has
+// inserted a new packet into the port, it must request the flow control
+// semaphore", §4.1). tk is the pushing producer's trace track (nil when
+// tracing is off).
 //
 // The packet's fields are snapshotted before it becomes visible to the
 // consumer: the instant the queue mutex drops, the consumer may pop,
 // drain, and recycle the packet into the free list, where another
-// producer can claim and refill it — so reading p.eos or p.recs after
-// insertion would race with its next life.
+// producer can claim and refill it — so reading p.eos, p.recs or
+// p.producer after insertion would race with its next life.
 func (q *queue) push(p *packet, tk *trace.Track) {
 	eos := p.eos
 	nrecs := int64(len(p.recs))
+	producer := p.producer
 	q.mu.Lock()
 	if q.closed {
 		// Consumer is gone: release the records and recycle the packet
@@ -175,20 +203,20 @@ func (q *queue) push(p *packet, tk *trace.Track) {
 	xmPackets.Add(1)
 	xmRecords.Add(nrecs)
 	if q.fc != nil && !eos {
-		q.takeToken(tk)
+		q.takeToken(q.sem(producer), tk)
 	}
 }
 
-// takeToken acquires one flow-control token, recording the stall time if
-// the producer group is already `slack` packets ahead. A stall that
-// actually blocks is also recorded as a token-wait span on the producer's
-// trace track; the uncontended path emits nothing.
-func (q *queue) takeToken(tk *trace.Track) {
+// takeToken acquires one flow-control token from sem, recording the stall
+// time if the producers drawing on it are already `slack` packets ahead.
+// A stall that actually blocks is also recorded as a token-wait span on
+// the producer's trace track; the uncontended path emits nothing.
+func (q *queue) takeToken(sem chan struct{}, tk *trace.Track) {
 	select {
-	case <-q.fc:
+	case <-sem:
 	default:
 		start := time.Now()
-		<-q.fc
+		<-sem
 		d := time.Since(start)
 		q.ps.producerStall.Add(int64(d))
 		xmTokenWaits.Add(1)
@@ -233,9 +261,7 @@ func (q *queue) pop(producers int, tk *trace.Track) *packet {
 	q.mu.Unlock()
 	if p != nil {
 		xmQueueDepth.Add(-1)
-		if q.fc != nil && !p.eos {
-			q.fc <- struct{}{}
-		}
+		q.giveToken(p)
 	}
 	return p
 }
@@ -249,9 +275,7 @@ func (q *queue) popFrom(producer int, tk *trace.Track) *packet {
 	q.mu.Unlock()
 	if p != nil {
 		xmQueueDepth.Add(-1)
-		if q.fc != nil && !p.eos {
-			q.fc <- struct{}{}
-		}
+		q.giveToken(p)
 	}
 	return p
 }
@@ -273,9 +297,7 @@ func (q *queue) tryPop() *packet {
 	q.mu.Unlock()
 	if p != nil {
 		xmQueueDepth.Add(-1)
-		if q.fc != nil && !p.eos {
-			q.fc <- struct{}{}
-		}
+		q.giveToken(p)
 	}
 	return p
 }
@@ -300,11 +322,8 @@ func (q *queue) drain() {
 		for _, r := range p.recs {
 			r.Unfix()
 		}
-		eos := p.eos
+		q.giveToken(p)
 		q.pool.put(p)
-		if q.fc != nil && !eos {
-			q.fc <- struct{}{}
-		}
 	}
 }
 

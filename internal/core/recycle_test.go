@@ -46,7 +46,7 @@ func TestExchangePacketRecycling(t *testing.T) {
 		PacketSize:  10,
 		FlowControl: true,
 		Slack:       4,
-		NewProducer: func(g int) (Iterator, error) { return NewFileScan(f, nil, false) },
+		NewProducer: func(g int) (Iterator, error) { return NewFileScan(f, nil) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -185,7 +185,7 @@ func TestExchangeRecycleShutdownStress(t *testing.T) {
 			PacketSize:  3,
 			FlowControl: true,
 			Slack:       1,
-			NewProducer: func(g int) (Iterator, error) { return NewFileScan(f, nil, false) },
+			NewProducer: func(g int) (Iterator, error) { return NewFileScan(f, nil) },
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -285,7 +285,7 @@ func TestExchangeStatsMatchMetricsOnShutdownPaths(t *testing.T) {
 				Slack:       1,
 				Done:        done,
 				NewProducer: func(g int) (Iterator, error) {
-					mk := func() (Iterator, error) { return NewFileScan(f, nil, false) }
+					mk := func() (Iterator, error) { return NewFileScan(f, nil) }
 					sc, err := mk()
 					if err != nil {
 						return nil, err
@@ -326,7 +326,7 @@ func TestExchangeStatsMatchMetricsOnShutdownPaths(t *testing.T) {
 				PacketSize:  3,
 				FlowControl: true,
 				Slack:       1,
-				NewProducer: func(g int) (Iterator, error) { return NewFileScan(f, nil, false) },
+				NewProducer: func(g int) (Iterator, error) { return NewFileScan(f, nil) },
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -10,22 +10,21 @@ import (
 
 // FileScan reads a stored (or virtual) file in storage order.
 type FileScan struct {
-	f         *file.File
-	schema    *record.Schema
-	readAhead bool
-	scan      *file.Scan
+	f      *file.File
+	schema *record.Schema
+	scan   *file.Scan
 }
 
 // NewFileScan builds a scan over f. If schema is nil the schema recorded
 // in the VTOC is used.
-func NewFileScan(f *file.File, schema *record.Schema, readAhead bool) (*FileScan, error) {
+func NewFileScan(f *file.File, schema *record.Schema) (*FileScan, error) {
 	if schema == nil {
 		schema = f.Schema()
 	}
 	if schema == nil {
 		return nil, errState("filescan", fmt.Sprintf("file %q has no schema", f.Name()))
 	}
-	return &FileScan{f: f, schema: schema, readAhead: readAhead}, nil
+	return &FileScan{f: f, schema: schema}, nil
 }
 
 // Schema implements Iterator.
@@ -36,7 +35,7 @@ func (s *FileScan) Open() error {
 	if s.scan != nil {
 		return errState("filescan", "already open")
 	}
-	s.scan = s.f.NewScan(s.readAhead)
+	s.scan = s.f.NewScan(false)
 	return nil
 }
 

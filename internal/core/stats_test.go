@@ -56,7 +56,7 @@ func TestInstrumentWithSharedStats(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			sc, err := NewFileScan(files[w], nil, false)
+			sc, err := NewFileScan(files[w], nil)
 			if err != nil {
 				errs[w] = err
 				return

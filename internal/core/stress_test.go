@@ -33,7 +33,7 @@ func TestExchangeStressParallelSchedulers(t *testing.T) {
 				return expr.HashPartition(intSchema, record.Key{0}, 3)
 			},
 			NewProducer: func(g int) (Iterator, error) {
-				return NewFileScan(files[g], nil, false)
+				return NewFileScan(files[g], nil)
 			},
 		})
 		if err != nil {
@@ -79,7 +79,7 @@ func TestBufferContentionUnderParallelSchedulers(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for rep := 0; rep < 3; rep++ {
-				sc, err := NewFileScan(files[w], nil, false)
+				sc, err := NewFileScan(files[w], nil)
 				if err != nil {
 					errs[w] = err
 					return
@@ -126,7 +126,7 @@ func TestExchangeShutdownAbandonStress(t *testing.T) {
 			FlowControl: true,
 			Slack:       1, // minimal slack: producers block almost immediately
 			NewProducer: func(g int) (Iterator, error) {
-				return NewFileScan(f, nil, false)
+				return NewFileScan(f, nil)
 			},
 		})
 		if err != nil {
@@ -184,7 +184,7 @@ func TestExchangeEarlyCloseStress(t *testing.T) {
 			FlowControl: true,
 			Slack:       1,
 			NewProducer: func(g int) (Iterator, error) {
-				return NewFileScan(f, nil, false)
+				return NewFileScan(f, nil)
 			},
 		})
 		if err != nil {

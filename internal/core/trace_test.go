@@ -38,7 +38,7 @@ func TestExchangeTraceProtocol(t *testing.T) {
 		Slack:       1, // one token: producers must block, so token-wait spans appear
 		Tracer:      tr,
 		NewProducer: func(int) (Iterator, error) {
-			return NewFileScan(f, nil, false)
+			return NewFileScan(f, nil)
 		},
 	})
 	if err != nil {
@@ -120,7 +120,7 @@ func TestExchangeTraceTreeFork(t *testing.T) {
 		Fork:      ForkTree,
 		Tracer:    tr,
 		NewProducer: func(int) (Iterator, error) {
-			return NewFileScan(f, nil, false)
+			return NewFileScan(f, nil)
 		},
 	})
 	if err != nil {

@@ -75,7 +75,7 @@ func wireExchange(t testing.TB, dst *Env, cfg ExchangeConfig, packet int, wrap f
 // when predicates are given.
 func subtrees(t testing.TB, f *file.File, preds ...string) func(int) Iterator {
 	return func(g int) Iterator {
-		sc, err := NewFileScan(f, nil, false)
+		sc, err := NewFileScan(f, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -46,9 +46,8 @@ const MisEstimateFactor = 4
 // ANALYZE, and the node correspondence needed to fold observed
 // cardinalities back onto the original template's nodes.
 type CostedPlan struct {
-	// Template is the costed derivation; its ProducerGoroutines reflect
-	// the chosen degree of parallelism, so admission control must weigh
-	// this template, not the original.
+	// Template is the costed derivation; admission control weighs its
+	// ProducerGoroutines, since it is the tree that runs.
 	Template *Template
 	// Estimates maps every node of Template's tree to its estimated
 	// output cardinality (pass as BuildOptions.Estimates).
@@ -204,20 +203,13 @@ func (c *coster) walk(n *Node) (*Node, int64) {
 	return n, est
 }
 
-// fillExchange picks the knobs the plan text left open. The producer
-// count is structural, not just a cost choice: each producer builds the
-// whole subtree, so a non-partitioned subtree *duplicates* its input
-// once per producer — the only correct fan-out is the partition count
-// of the pscan below (or 1 when there is none).
+// fillExchange picks the packet size when the plan text left it open.
+// The producer count is not a cost choice: the parser fixes it to the
+// partition count of the pscan below (see partitionsBelow).
 func (c *coster) fillExchange(n *Node, est int64) {
 	o := n.X
 	if o == nil || o.Inline {
 		return
-	}
-	if !o.ProducersSet {
-		if parts := partitionsBelow(n.Inputs[0]); parts > 1 {
-			o.Producers = parts
-		}
 	}
 	if o.PacketSize == 0 {
 		// Small results keep latency low with small packets; big streams
@@ -236,25 +228,6 @@ func (c *coster) fillExchange(n *Node, est int64) {
 
 // maxPacketSize is the largest packet core.NewExchange accepts.
 const maxPacketSize = 255
-
-// partitionsBelow reports the partition count of the pscan feeding a
-// producer subtree, or 0: the walk mirrors build-time instantiation,
-// descending every input but stopping at nested exchanges (their
-// producer counts are their own concern).
-func partitionsBelow(n *Node) int {
-	if n == nil || n.Kind == KindExchange {
-		return 0
-	}
-	if n.Kind == KindPartitionedScan {
-		return n.Partitions
-	}
-	for _, in := range n.Inputs {
-		if p := partitionsBelow(in); p > 0 {
-			return p
-		}
-	}
-	return 0
-}
 
 // maybeChoose turns an equality match whose algorithm the text left
 // open into a choose-plan node: alternative 0 runs the hash match as

@@ -16,12 +16,10 @@ import (
 
 // stripKnobs removes every knob the costing pass can fill, turning an
 // explicit corpus plan into the knobless form a user would write when
-// trusting the planner: exchange producer counts and packet sizes
-// revert to "unset", match algorithms to "unchosen".
+// trusting the planner: exchange packet sizes revert to "unset", match
+// algorithms to "unchosen". Producer counts stay: the parser fixes them.
 func stripKnobs(n *Node) {
 	if n.X != nil {
-		n.X.ProducersSet = false
-		n.X.Producers = 1
 		n.X.PacketSize = 0
 	}
 	n.AlgoSet = false
@@ -102,21 +100,29 @@ func TestCostMetamorphicCorpus(t *testing.T) {
 // TestCostFillsExchangeDOP pins the structural planning rule: an
 // exchange whose producer count the text omits gets the partition count
 // of the pscan below it (anything else would duplicate or underread a
-// non-partitioned subtree), while explicit counts are left alone.
+// non-partitioned subtree), and an explicit count that differs is a
+// compile error.
 func TestCostFillsExchangeDOP(t *testing.T) {
 	db := newDiffDB(t)
 	cases := []struct {
 		script    string
 		producers int
-		packet    int // 0 = don't check
+		packet    int    // 0 = don't check
+		err       string // non-empty: Compile must fail with this
 	}{
-		{"pscan nums 4 | exchange", 4, 16},           // 500 rows -> small packets
-		{"pscan nums 4 | exchange packet=16", 4, 16}, // explicit packet kept
-		{"pscan nums 4 | exchange producers=2 packet=16", 2, 16},
-		{"scan emp | exchange", 1, 0}, // no pscan below: fan-out must stay 1
+		{"pscan nums 4 | exchange", 4, 16, ""},           // 500 rows -> small packets
+		{"pscan nums 4 | exchange packet=16", 4, 16, ""}, // explicit packet kept
+		{"pscan nums 4 | exchange producers=2 packet=16", 0, 0, "each producer scans one partition"},
+		{"scan emp | exchange", 1, 0, ""}, // no pscan below: fan-out must stay 1
 	}
 	for _, tc := range cases {
 		tpl, err := Compile(tc.script)
+		if tc.err != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.err) {
+				t.Errorf("compile %q: err = %v, want %q", tc.script, err, tc.err)
+			}
+			continue
+		}
 		if err != nil {
 			t.Fatalf("compile %q: %v", tc.script, err)
 		}
@@ -132,14 +138,14 @@ func TestCostFillsExchangeDOP(t *testing.T) {
 			t.Errorf("%q: packet = %d, want %d", tc.script, x.PacketSize, tc.packet)
 		}
 	}
-	// The costed template's goroutine footprint must reflect the chosen
-	// fan-out: admission control weighs what will actually run.
+	// The goroutine footprint admission control weighs is the fan-out
+	// that will run, from compile on.
 	tpl, err := Compile("pscan nums 4 | exchange")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := tpl.Cost(db.cat, nil).Template.ProducerGoroutines(), tpl.ProducerGoroutines(); got <= want {
-		t.Errorf("costed ProducerGoroutines = %d, want > uncosted %d", got, want)
+	if got, costed := tpl.ProducerGoroutines(), tpl.Cost(db.cat, nil).Template.ProducerGoroutines(); got != 4 || costed != 4 {
+		t.Errorf("ProducerGoroutines = %d compiled, %d costed, want 4", got, costed)
 	}
 }
 
@@ -473,6 +479,9 @@ func TestParseDOPBounds(t *testing.T) {
 		{"pscan nums 2000", "exceeds max"},
 		{"pscan nums 4 | exchange producers=0", "out of range"},
 		{"pscan nums 4 | exchange producers=2000", "out of range"},
+		{"pscan nums 4 | exchange producers=2", "each producer scans one partition"},
+		{"pscan nums 4 | agg group v compute count", "not under an exchange"},
+		{"with d = pscan dept 2\npscan nums 4 | join hash d on v = dno | exchange", "feed the same producers"},
 	} {
 		_, err := Parse(tc.script)
 		if err == nil {

@@ -158,12 +158,12 @@ var diffCorpus = []struct {
 	{"difference", "with lows = scan emp | filter id < 8 | project id\nscan emp | filter id % 2 = 0 | project id | difference lows"},
 	{"divide-hash", "with req = scan required\nscan enrolled | divide hash req quot student div course on course"},
 	{"divide-sort", "with req = scan required\nscan enrolled | divide sort req quot student div course on course"},
-	{"exchange", "pscan nums 4 | exchange producers=4 packet=16 flow=on slack=3"},
+	{"exchange", "pscan nums 4 | exchange producers=4 packet=16"},
 	{"exchange-hash-partition", "pscan nums 4 | exchange producers=4 partition=hash(v) packet=7"},
 	{"exchange-merge", "pscan nums 4 | sort v | exchange producers=4 merge=v packet=5"},
 	{"exchange-nested", "pscan nums 4 | exchange producers=4 packet=16 | exchange producers=1 packet=5"},
 	{"exchange-above-join", "with d = scan dept\npscan nums 4 | exchange producers=4 packet=16 | join hash d on v = dno"},
-	{"exchange-agg", "pscan nums 4 | exchange producers=4 packet=16 flow=on slack=3 | agg hash group v compute count | filter v < 10"},
+	{"exchange-agg", "pscan nums 4 | exchange producers=4 packet=16 | agg hash group v compute count | filter v < 10"},
 }
 
 func TestDifferentialCorpus(t *testing.T) {
@@ -283,7 +283,7 @@ func drainBatchMode(it core.Iterator, size, limit int) (int, error) {
 // ErrCanceled and leak no pins.
 func TestDifferentialCancellationPreClosed(t *testing.T) {
 	db := newDiffDB(t)
-	n, err := Parse("pscan nums 4 | exchange producers=4 packet=16 flow=on slack=3")
+	n, err := Parse("pscan nums 4 | exchange producers=4 packet=16")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestDifferentialCancellationPreClosed(t *testing.T) {
 // succeeds (or reports the cancellation), and no pin leaks.
 func TestDifferentialCancellationMidStream(t *testing.T) {
 	db := newDiffDB(t)
-	n, err := Parse("pscan nums 4 | exchange producers=4 packet=4 flow=on slack=2")
+	n, err := Parse("pscan nums 4 | exchange producers=4 packet=4")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +335,7 @@ func TestDifferentialCancellationMidStream(t *testing.T) {
 			t.Fatalf("size %d: open: %v", size, err)
 		}
 		// Take a prefix, then cancel while producers are still working
-		// (packet=4 with slack 2 keeps most of the 500 rows undelivered).
+		// (packet=4 with slack 4 keeps most of the 500 rows undelivered).
 		var prefixErr error
 		if size > 0 {
 			_, prefixErr = drainBatchMode(it, size, 20)

@@ -78,9 +78,6 @@ func describe(n *Node) string {
 		if o.PacketSize != 0 {
 			opts = append(opts, fmt.Sprintf("packet=%d", o.PacketSize))
 		}
-		if o.FlowControl {
-			opts = append(opts, fmt.Sprintf("flow=on slack=%d", o.Slack))
-		}
 		if o.Broadcast {
 			opts = append(opts, "broadcast")
 		}

@@ -17,13 +17,13 @@ func FuzzParse(f *testing.F) {
 		"scan emp",
 		"scan emp | filter salary > 1200 AND name LIKE 'a%' | sort salary desc",
 		"with depts = scan dept | filter budget > 100\nscan emp | join hash depts on dept = id",
-		"pscan emp 4 | exchange producers=4 packet=7 flow=on slack=2 | agg group dept compute count, sum(salary)",
+		"pscan emp 4 | exchange producers=4 packet=7 | agg group dept compute count, sum(salary)",
 		"iscan emp emp_id 10 20 | project id, salary * 1.1 as raised",
 		"scan a | distinct sort | exchange producers=2 partition=hash(x) merge=x:asc",
 		"with b = scan b\nscan a | union merge b",
 		"with b = scan b\nscan a | divide hash b quot s div c on c",
 		"scan e\n| filter dept = 2  # trailing comment\n| project name as n",
-		"scan emp | exchange producers=2 fork=tree forkcost=1ms broadcast inline",
+		"scan emp | exchange producers=2 fork=tree broadcast inline",
 		// Regression seeds: keyword overlap used to slice out of bounds.
 		"scan emp | agg group compute x",
 		"scan emp | divide d quot div x on y",

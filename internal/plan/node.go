@@ -6,7 +6,6 @@ package plan
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/expr"
@@ -78,7 +77,6 @@ type Node struct {
 	// Scan / PartitionedScan / IndexScan.
 	Table      string
 	Partitions int // PartitionedScan: files "<Table>.<g>"
-	ReadAhead  bool
 	// IndexScan: the catalogued index name and optional int-key bounds.
 	IndexName string
 	LoKey     *int64
@@ -153,21 +151,19 @@ type ChooseSpec struct {
 }
 
 // XOpts carries the exchange state-record settings at the plan level.
+// Flow control is not among them: every forked exchange a plan builds
+// runs with it at core's default slack (§4.1), because each record queued
+// in a packet holds a buffer pin and the pool must bound how far a
+// producer group runs ahead.
 type XOpts struct {
-	Producers int
-	// ProducersSet records that the plan text fixed the producer count
-	// explicitly (producers=N); without it the cost pass may choose.
-	ProducersSet bool
-	Consumers    int
-	PacketSize   int
-	FlowControl  bool
-	Slack        int
-	Broadcast    bool
-	Inline       bool
-	KeepStreams  bool
-	MergeSort    []record.SortSpec // with KeepStreams: merge streams on this order
-	Fork         core.ForkScheme
-	ForkCost     time.Duration
+	Producers   int
+	Consumers   int
+	PacketSize  int
+	Broadcast   bool
+	Inline      bool
+	KeepStreams bool
+	MergeSort   []record.SortSpec // with KeepStreams: merge streams on this order
+	Fork        core.ForkScheme
 	// Partition: "" (round robin), or hash keys.
 	HashKeys  record.Key
 	RangeCol  int
@@ -407,7 +403,7 @@ func buildNode(ctx *buildCtx, n *Node) (core.Iterator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return core.NewFileScan(meteredFile(ctx, f), nil, n.ReadAhead)
+		return core.NewFileScan(meteredFile(ctx, f), nil)
 
 	case KindPartitionedScan:
 		name := fmt.Sprintf("%s.%d", n.Table, ctx.partition)
@@ -415,7 +411,7 @@ func buildNode(ctx *buildCtx, n *Node) (core.Iterator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return core.NewFileScan(meteredFile(ctx, f), nil, n.ReadAhead)
+		return core.NewFileScan(meteredFile(ctx, f), nil)
 
 	case KindIndexScan:
 		ic, ok := ctx.cat.(IndexCatalog)
@@ -665,13 +661,11 @@ func buildExchange(ctx *buildCtx, n *Node) (core.Iterator, error) {
 		Producers:   o.Producers,
 		Consumers:   o.Consumers,
 		PacketSize:  o.PacketSize,
-		FlowControl: o.FlowControl,
-		Slack:       o.Slack,
+		FlowControl: true,
 		Broadcast:   o.Broadcast,
 		Inline:      o.Inline,
 		KeepStreams: o.KeepStreams,
 		Fork:        o.Fork,
-		ForkCost:    o.ForkCost,
 		Tracer:      ctx.tracer,
 		Done:        ctx.done,
 		BatchSize:   ctx.batch,
@@ -690,14 +684,12 @@ func buildExchange(ctx *buildCtx, n *Node) (core.Iterator, error) {
 	if ctx.remote != nil && Distributable(n) {
 		// Offer the cut to the coordinator. A bound exchange keeps its
 		// consumer side here and takes its producers from the binder.
-		// Their records materialise into this process's buffer pool, so
-		// flow control bounds how far they may run ahead of the consumer.
 		newProducer, ok, err := ctx.remote(ctx.path, n)
 		if err != nil {
 			return nil, err
 		}
 		if ok {
-			cfg.NewProducer, cfg.FlowControl = newProducer, true
+			cfg.NewProducer = newProducer
 		}
 	}
 	switch {

@@ -74,7 +74,7 @@ func TestLiveScrapeDuringParallelQuery(t *testing.T) {
 	}
 	defer srv.Close()
 
-	n, err := Parse("pscan nums 4 | exchange producers=4 flow=on slack=2 packet=16 | agg group v compute count | sort v")
+	n, err := Parse("pscan nums 4 | exchange producers=4 packet=16 | agg group v compute count | sort v")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/expr"
@@ -24,7 +23,7 @@ import (
 // Stages:
 //
 //	scan TABLE
-//	pscan TABLE N                  (partitioned scan; valid under exchange)
+//	pscan TABLE N                  (partitioned scan; must be under an exchange)
 //	iscan TABLE INDEX [LO [HI]]    (B+-tree index scan, int key bounds)
 //	filter [interpreted|compiled] EXPR
 //	project [interpreted|compiled] EXPR [as NAME] {, ...}
@@ -37,11 +36,17 @@ import (
 //	semijoin|antijoin|leftouter|rightouter|fullouter [hash|merge] NAME on L = R {,...}
 //	union|intersect|difference|antidifference [hash|merge] NAME
 //	divide [hash|sort] NAME quot FIELDS div FIELDS on FIELDS
-//	exchange [producers=N] [packet=K] [flow=on|off] [slack=S] [fork=central|tree]
-//	         [forkcost=DUR] [partition=hash(FIELDS)|rr] [broadcast] [inline]
+//	exchange [producers=N] [packet=K] [fork=central|tree]
+//	         [partition=hash(FIELDS)|rr] [broadcast] [inline]
 //	         [merge=FIELD [asc|desc]{,...}]
 //
 // FIELDS are field names or $indexes. Comments start with '#'.
+//
+// Producer g of an exchange scans partition g of every pscan below it, so
+// an exchange over a pscan has exactly one producer per partition:
+// producers= may be omitted, and a different count is an error. Every
+// forked exchange runs with flow control at core's default slack, with one
+// token semaphore per producer stream in merge mode.
 
 // MaxDOP bounds plan-text degree-of-parallelism knobs (exchange producer
 // counts and pscan partition counts). Values are validated at parse time
@@ -266,7 +271,44 @@ func Parse(src string) (*Node, error) {
 	if main == nil {
 		return nil, &ParseError{Err: fmt.Errorf("plan: no main pipeline (only with-bindings)")}
 	}
+	// A pscan reached without crossing an exchange would be built once,
+	// as partition 0, and silently return a fraction of its table.
+	if parts, err := partitionsBelow(main); err != nil || parts > 0 {
+		if err == nil {
+			err = fmt.Errorf("plan: pscan with %d partitions is not under an exchange", parts)
+		}
+		return nil, &ParseError{Err: err}
+	}
 	return main, nil
+}
+
+// partitionsBelow reports the partition count of the pscans feeding a
+// producer subtree, or 0 when there is none. The walk mirrors build-time
+// instantiation: it descends every input but stops at nested exchanges,
+// whose producer counts are their own concern. Producer g scans
+// partition g of every pscan it reaches, so pscans that disagree on the
+// count are an error.
+func partitionsBelow(n *Node) (int, error) {
+	if n == nil || n.Kind == KindExchange {
+		return 0, nil
+	}
+	if n.Kind == KindPartitionedScan {
+		return n.Partitions, nil
+	}
+	parts := 0
+	for _, in := range n.Inputs {
+		p, err := partitionsBelow(in)
+		if err != nil {
+			return 0, err
+		}
+		if p > 0 && parts > 0 && p != parts {
+			return 0, fmt.Errorf("plan: pscans with %d and %d partitions feed the same producers", parts, p)
+		}
+		if p > 0 {
+			parts = p
+		}
+	}
+	return parts, nil
 }
 
 func parsePipeline(stages []srcStage, named map[string]*Node) (*Node, error) {
@@ -665,6 +707,7 @@ func parseDivide(rest string, input *Node, named map[string]*Node) (*Node, error
 
 func parseExchange(rest string, input *Node) (*Node, error) {
 	o := &XOpts{Producers: 1, Consumers: 1}
+	producersSet := false
 	var hashTerms, mergeTerms []Term
 	for _, tok := range strings.Fields(rest) {
 		kv := strings.SplitN(tok, "=", 2)
@@ -683,21 +726,13 @@ func parseExchange(rest string, input *Node) (*Node, error) {
 				return nil, fmt.Errorf("plan: producers=%d out of range 1..%d", n, MaxDOP)
 			}
 			o.Producers = n
-			o.ProducersSet = true
+			producersSet = true
 		case "packet":
 			n, err := strconv.Atoi(val)
 			if err != nil {
 				return nil, fmt.Errorf("plan: bad packet=%q", val)
 			}
 			o.PacketSize = n
-		case "flow":
-			o.FlowControl = strings.EqualFold(val, "on")
-		case "slack":
-			n, err := strconv.Atoi(val)
-			if err != nil {
-				return nil, fmt.Errorf("plan: bad slack=%q", val)
-			}
-			o.Slack = n
 		case "fork":
 			switch strings.ToLower(val) {
 			case "central":
@@ -707,12 +742,6 @@ func parseExchange(rest string, input *Node) (*Node, error) {
 			default:
 				return nil, fmt.Errorf("plan: bad fork=%q", val)
 			}
-		case "forkcost":
-			d, err := time.ParseDuration(val)
-			if err != nil {
-				return nil, fmt.Errorf("plan: bad forkcost=%q", val)
-			}
-			o.ForkCost = d
 		case "partition":
 			low := strings.ToLower(val)
 			switch {
@@ -740,6 +769,16 @@ func parseExchange(rest string, input *Node) (*Node, error) {
 		default:
 			return nil, fmt.Errorf("plan: unknown exchange option %q", tok)
 		}
+	}
+	parts, err := partitionsBelow(input)
+	switch {
+	case err != nil:
+		return nil, err
+	case parts == 0:
+	case !producersSet:
+		o.Producers = parts
+	case o.Producers != parts:
+		return nil, fmt.Errorf("plan: producers=%d over a pscan with %d partitions: each producer scans one partition", o.Producers, parts)
 	}
 	if o.Inline && o.Producers != 1 {
 		// A linear pipeline has a single consumer tree; inline groups of

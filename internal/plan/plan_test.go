@@ -20,13 +20,19 @@ type testDB struct {
 
 func newTestDB(t testing.TB) *testDB {
 	t.Helper()
+	return newTestDBFrames(t, 1024)
+}
+
+// newTestDBFrames is newTestDB over a pool of the given size.
+func newTestDBFrames(t testing.TB, frames int) *testDB {
+	t.Helper()
 	reg := device.NewRegistry()
 	baseID := reg.NextID()
 	reg.Mount(device.NewMem(baseID))
 	tempID := reg.NextID()
 	reg.Mount(device.NewMem(tempID))
 	t.Cleanup(func() { reg.CloseAll() })
-	pool := buffer.NewPool(reg, 1024, buffer.TwoLevel)
+	pool := buffer.NewPool(reg, frames, buffer.TwoLevel)
 	vol := file.NewVolume(pool, baseID)
 	return &testDB{
 		env: core.NewEnv(pool, file.NewVolume(pool, tempID)),
@@ -261,7 +267,7 @@ func TestPlanExchange(t *testing.T) {
 	db.loadPartitioned(t, "nums", 1000, 4)
 	rows := db.run(t, `
 pscan nums 4
-| exchange producers=4 packet=16 flow=on slack=3
+| exchange producers=4 packet=16
 | sort v
 `)
 	if len(rows) != 1000 {
@@ -309,7 +315,7 @@ func TestPlanExplain(t *testing.T) {
 	n, err := Parse(`
 with d = scan dept
 pscan nums 3
-| exchange producers=3 partition=hash(v) flow=on slack=2
+| exchange producers=3 partition=hash(v)
 | join hash d on v = dno
 | sort v desc
 `)
@@ -317,7 +323,7 @@ pscan nums 3
 		t.Fatal(err)
 	}
 	out := Explain(n)
-	for _, want := range []string{"sort", "join", "exchange", "pscan nums [3 partitions]", "scan dept", "flow=on slack=2"} {
+	for _, want := range []string{"sort", "join", "exchange", "pscan nums [3 partitions]", "scan dept"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Explain missing %q:\n%s", want, out)
 		}
@@ -339,6 +345,9 @@ func TestPlanParseErrors(t *testing.T) {
 		"scan emp | agg group a compute blah(x)", // unknown aggregate
 		"scan emp | exchange bogus=1",            // unknown exchange option
 		"scan emp | exchange producers=x",        // bad int
+		"scan emp | exchange flow=on",            // flow control is not an option
+		"scan emp | exchange slack=4",            // nor is its slack
+		"scan emp | exchange forkcost=1s",        // nor a simulated fork cost
 		"scan emp | sort id sideways",            // bad direction
 		"scan emp | divide x quot a div b",       // malformed divide
 		"scan a\nscan b",                         // two main pipelines

@@ -144,7 +144,7 @@ func TestSystemEndToEnd(t *testing.T) {
 	q1 := run(`
 with cust = scan customers
 pscan orders 4
-| exchange producers=4 flow=on slack=3
+| exchange producers=4
 | join hash cust on cust = cid
 | agg group region compute count, sum(qty)
 | sort region

@@ -27,7 +27,7 @@ func TestMidStreamDisconnectStress(t *testing.T) {
 	// The cross join under a non-partitioned exchange: each producer runs
 	// its own copy of the join, so this streams ~2M rows through the full
 	// producer/consumer protocol — no client reads more than a few KB.
-	const q = "with p2 = scan pairs2\nscan pairs | join hash p2 on a = c | exchange producers=2 packet=7 flow=on slack=2"
+	const q = "with p2 = scan pairs2\nscan pairs | join hash p2 on a = c | exchange producers=2 packet=7"
 
 	client := &http.Client{}
 	baseline := runtime.NumGoroutine()

@@ -82,9 +82,9 @@ func scrapeCounter(t *testing.T, ts *httptest.Server, family string) float64 {
 }
 
 // TestPlannerAdaptiveParallelism is the headline acceptance check: a
-// knobless parallel query gets its exchange fan-out from the planner
-// (the pscan's partition count), and EXPLAIN ANALYZE shows estimated
-// next to observed cardinality on every operator.
+// knobless parallel query gets its exchange fan-out from the pscan's
+// partition count, and EXPLAIN ANALYZE shows estimated next to observed
+// cardinality on every operator.
 func TestPlannerAdaptiveParallelism(t *testing.T) {
 	_, _, ts, _ := newTestServer(t, nil)
 	res, err := postQueryAnalyze(ts, "pscan emp 4 | exchange")
@@ -106,7 +106,9 @@ func TestPlannerAdaptiveParallelism(t *testing.T) {
 }
 
 // TestPlannerDisabled pins the off switch: with DisableCosting the plan
-// text runs verbatim — no chosen fan-out, no estimates.
+// text runs verbatim — no estimates. The exchange's fan-out is not a cost
+// choice: it is the pscan's partition count either way, so every row is
+// read.
 func TestPlannerDisabled(t *testing.T) {
 	_, _, ts, _ := newTestServer(t, func(c *Config) { c.DisableCosting = true })
 	res, err := postQueryAnalyze(ts, "pscan emp 4 | exchange")
@@ -116,8 +118,8 @@ func TestPlannerDisabled(t *testing.T) {
 	if res.trailer.Status != "ok" {
 		t.Fatalf("status %q: %s", res.trailer.Status, res.body)
 	}
-	if !strings.Contains(res.trailer.Analyze, "producers=1") {
-		t.Fatalf("uncosted plan should keep the default single producer:\n%s", res.trailer.Analyze)
+	if res.rows != empRows || !strings.Contains(res.trailer.Analyze, "producers=4") {
+		t.Fatalf("uncosted plan read %d of %d rows:\n%s", res.rows, empRows, res.trailer.Analyze)
 	}
 	if strings.Contains(res.trailer.Analyze, "est=") {
 		t.Fatalf("uncosted run should carry no estimates:\n%s", res.trailer.Analyze)

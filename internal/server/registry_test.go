@@ -70,8 +70,8 @@ func TestDebugQueriesLiveScrape(t *testing.T) {
 
 	// emp rows with dept < pairKeys fan out 500× through the hash join:
 	// ~75k result rows, produced by 4 exchange producers that keep
-	// running (flow control, slack 1) while the consumer streams.
-	script := "with p2 = scan pairs2\npscan emp 4 | exchange producers=4 flow=on slack=1 | join hash p2 on dept = c"
+	// running (flow control, slack 4) while the consumer streams.
+	script := "with p2 = scan pairs2\npscan emp 4 | exchange producers=4 | join hash p2 on dept = c"
 	const qid = "live-scrape-test"
 
 	req, err := http.NewRequest(http.MethodPost, ts.URL+"/query", strings.NewReader(script))

@@ -266,7 +266,7 @@ func TestConcurrentQueriesSharedPool(t *testing.T) {
 		{"scan emp | agg group dept compute count, sum(salary)", empDepts},
 		{"pscan emp 4 | exchange producers=4 packet=7", empRows},
 		{"scan emp | filter salary > 1200 | project id", salaried},
-		{"pscan emp 4 | exchange producers=4 flow=on slack=2 | sort id", empRows},
+		{"pscan emp 4 | exchange producers=4 | sort id", empRows},
 	}
 
 	baseline := runtime.NumGoroutine()
@@ -427,6 +427,23 @@ func TestParseErrorsReturn400(t *testing.T) {
 	}
 	if res.status != http.StatusBadRequest {
 		t.Errorf("too-parallel plan: status = %d, want 400: %s", res.status, res.body)
+	}
+
+	// Plans that would read part of a partitioned table, and exchange
+	// options the language no longer has: 400 before anything runs.
+	for _, q := range []string{
+		"pscan emp 4 | exchange producers=2",
+		"pscan emp 4 | agg group dept compute count",
+		"scan emp | exchange forkcost=3s",
+		"scan emp | exchange flow=on slack=2",
+	} {
+		res, err = postQuery(ts, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.status != http.StatusBadRequest {
+			t.Errorf("%q: status = %d, want 400: %s", q, res.status, res.body)
+		}
 	}
 }
 

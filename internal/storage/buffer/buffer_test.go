@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/record"
 	"repro/internal/storage/device"
@@ -312,66 +311,6 @@ func TestConcurrentFixUnfixStress(t *testing.T) {
 	}
 }
 
-func TestDaemonFlushAndReadAhead(t *testing.T) {
-	p, reg, diskID, _ := env(t, 8, TwoLevel)
-	if err := p.StartDaemons(2); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.StartDaemons(1); err == nil {
-		t.Fatal("double StartDaemons succeeded")
-	}
-	f, pid, _ := p.FixNew(diskID)
-	copy(f.Data(), "daemon")
-	p.Unfix(f, true)
-	p.RequestFlush(pid)
-	p.StopDaemons() // waits for the queue to drain
-
-	d, _ := reg.Get(diskID)
-	buf := make([]byte, device.PageSize)
-	if err := d.ReadPage(pid.Page, buf); err != nil {
-		t.Fatal(err)
-	}
-	if string(buf[:6]) != "daemon" {
-		t.Fatal("daemon flush did not reach the device")
-	}
-
-	// Read-ahead: evict, then ask the daemon to bring the page back.
-	for i := 0; i < 16; i++ {
-		g, _, err := p.FixNew(diskID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Unfix(g, true)
-	}
-	if p.Resident(pid) {
-		t.Fatal("page still resident; eviction expected")
-	}
-	if err := p.StartDaemons(1); err != nil {
-		t.Fatal(err)
-	}
-	p.RequestReadAhead(pid)
-	p.StopDaemons()
-	if !p.Resident(pid) {
-		t.Fatal("read-ahead did not load the page")
-	}
-	st := p.Stats()
-	if st.DaemonReads == 0 || st.DaemonWrites == 0 {
-		t.Fatalf("daemon counters not advanced: %+v", st)
-	}
-	// With no daemon running, RequestFlush degrades to a synchronous flush
-	// and RequestReadAhead to a no-op.
-	p.RequestFlush(pid)
-	p.RequestReadAhead(pid)
-}
-
-func TestStopDaemonsIdempotent(t *testing.T) {
-	p, _, _, _ := env(t, 4, TwoLevel)
-	p.StopDaemons() // no daemons: no-op
-	if err := p.StartDaemons(0); err == nil {
-		t.Fatal("StartDaemons(0) succeeded")
-	}
-}
-
 func TestLRUOrdering(t *testing.T) {
 	p, _, diskID, _ := env(t, 3, TwoLevel)
 	// Create three pages a, b, c (unpinned in that order).
@@ -407,37 +346,6 @@ func TestPinOnUnpinnedPanics(t *testing.T) {
 		}
 	}()
 	p.Pin(f, 1)
-}
-
-func TestReadAheadQueueOverflowDropsHints(t *testing.T) {
-	// Flood the daemon queue; hints beyond its capacity must be dropped,
-	// never block the caller.
-	p, _, diskID, _ := env(t, 8, TwoLevel)
-	var pids []record.PageID
-	for i := 0; i < 4; i++ {
-		f, pid, err := p.FixNew(diskID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Unfix(f, true)
-		pids = append(pids, pid)
-	}
-	if err := p.StartDaemons(1); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 10000; i++ {
-			p.RequestReadAhead(pids[i%len(pids)])
-		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("RequestReadAhead blocked")
-	}
-	p.StopDaemons()
 }
 
 func TestFlushAllSelectiveDevice(t *testing.T) {

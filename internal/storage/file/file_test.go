@@ -267,34 +267,6 @@ func TestScanAbortMidwayReleasesPins(t *testing.T) {
 	}
 }
 
-func TestScanWithReadAheadDaemon(t *testing.T) {
-	pool, vol, _ := env(t, 64)
-	if err := pool.StartDaemons(1); err != nil {
-		t.Fatal(err)
-	}
-	defer pool.StopDaemons()
-	f, _ := vol.Create("t", nil)
-	for i := 0; i < 200; i++ {
-		f.Insert(make([]byte, 500))
-	}
-	s := f.NewScan(true)
-	count := 0
-	for {
-		r, ok, err := s.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		count++
-		r.Unfix()
-	}
-	if count != 200 {
-		t.Fatalf("scanned %d, want 200", count)
-	}
-}
-
 func TestVirtualFileOnMemDevice(t *testing.T) {
 	pool, _, vmem := env(t, 8)
 	f, err := vmem.Create("tmp", nil)

@@ -10,12 +10,11 @@ import (
 // one page at a time; each record returned carries its own pin, which the
 // caller must release (the ownership protocol of §3).
 type Scan struct {
-	f         *File
-	cur       record.PageID
-	slot      int
-	frame     *pinnedPage
-	done      bool
-	readAhead bool
+	f     *File
+	cur   record.PageID
+	slot  int
+	frame *pinnedPage
+	done  bool
 }
 
 // pinnedPage wraps the scan's own pin on the current page.
@@ -24,10 +23,11 @@ type pinnedPage struct {
 	rec Record // the scan's own pin, reused to unfix
 }
 
-// NewScan opens a scan over the file. If readAhead is true the scan asks
-// the buffer daemon to prefetch each next page.
-func (f *File) NewScan(readAhead bool) *Scan {
-	return &Scan{f: f, cur: f.FirstPage(), readAhead: readAhead}
+// NewScan opens a scan over the file. The argument is ignored: it once
+// asked a read-ahead daemon to prefetch each next page, and is kept so
+// existing callers compile.
+func (f *File) NewScan(bool) *Scan {
+	return &Scan{f: f, cur: f.FirstPage()}
 }
 
 // Next returns the next record, pinned for the caller. It returns ok=false
@@ -53,9 +53,6 @@ func (s *Scan) Next() (Record, bool, error) {
 				rec: Record{RID: record.RID{PageID: s.cur}, frame: fr, pool: s.f.vol.pool},
 			}
 			s.slot = 0
-			if s.readAhead && pg.next() != 0 {
-				s.f.vol.pool.RequestReadAhead(pid(s.cur.Dev, pg.next()))
-			}
 		}
 		pg := s.frame.pg
 		for s.slot < pg.nslots() {
